@@ -159,7 +159,7 @@ namespace {
 // Number of common ids of two sorted (kInvalidVertex-free) lists starting
 // at positions a/b, restricted to members of `index` — a two-list leapfrog
 // with galloping cursors. Duplicates (parallel edges) count once.
-uint64_t IntersectCount(const SortedList& su, uint32_t a, const SortedList& sv,
+uint64_t IntersectCount(const AdjSpan& su, uint32_t a, const AdjSpan& sv,
                         uint32_t b,
                         const std::unordered_map<VertexId, uint32_t>& index,
                         IntersectOpStats* stats) {
@@ -193,22 +193,19 @@ uint64_t CountTrianglesIntersect(const GraphView& view, LabelId label,
                                  RelationId symmetric_rel,
                                  IntersectOpStats* stats) {
   DenseIndex dense(view, label);
-  std::vector<VertexId> scratch_u, scratch_v;
-  // Distinct decode scratches: NormalizeSpan keeps sorted_clean spans in
-  // place, and `su` stays live across the inner `sv` fetches.
+  // Distinct decode scratches: `su` stays live across the inner `sv`
+  // fetches.
   AdjScratch adj_u, adj_v;
   uint64_t triangles = 0;
   for (VertexId u : dense.vertices) {
-    SortedList su =
-        NormalizeSpan(view.Neighbors(symmetric_rel, u, &adj_u), &scratch_u);
+    AdjSpan su = view.Neighbors(symmetric_rel, u, &adj_u);
     for (uint32_t i = 0; i < su.size; ++i) {
       VertexId v = su.ids[i];
       if (v <= u) continue;
       if (i > 0 && su.ids[i - 1] == v) continue;  // parallel edge
       if (dense.index.count(v) == 0) continue;
       if (stats != nullptr) ++stats->probes;
-      SortedList sv =
-          NormalizeSpan(view.Neighbors(symmetric_rel, v, &adj_v), &scratch_v);
+      AdjSpan sv = view.Neighbors(symmetric_rel, v, &adj_v);
       // Common neighbors w > v close a triangle u < v < w exactly once.
       uint32_t a = GallopLowerBound(su.ids, su.size, i + 1, v + 1, stats);
       uint32_t b = GallopLowerBound(sv.ids, sv.size, 0, v + 1, stats);
@@ -221,20 +218,17 @@ uint64_t CountTrianglesIntersect(const GraphView& view, LabelId label,
 uint64_t CountDiamonds(const GraphView& view, LabelId label,
                        RelationId symmetric_rel, IntersectOpStats* stats) {
   DenseIndex dense(view, label);
-  std::vector<VertexId> scratch_u, scratch_v;
   AdjScratch adj_u, adj_v;
   uint64_t diamonds = 0;
   for (VertexId u : dense.vertices) {
-    SortedList su =
-        NormalizeSpan(view.Neighbors(symmetric_rel, u, &adj_u), &scratch_u);
+    AdjSpan su = view.Neighbors(symmetric_rel, u, &adj_u);
     for (uint32_t i = 0; i < su.size; ++i) {
       VertexId v = su.ids[i];
       if (v <= u) continue;  // each edge once
       if (i > 0 && su.ids[i - 1] == v) continue;
       if (dense.index.count(v) == 0) continue;
       if (stats != nullptr) ++stats->probes;
-      SortedList sv =
-          NormalizeSpan(view.Neighbors(symmetric_rel, v, &adj_v), &scratch_v);
+      AdjSpan sv = view.Neighbors(symmetric_rel, v, &adj_v);
       // Every unordered pair of common neighbors spans a diamond whose
       // chord is (u, v).
       uint64_t c = IntersectCount(su, 0, sv, 0, dense.index, stats);

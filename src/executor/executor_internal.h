@@ -68,7 +68,6 @@ class IntersectExpandRunner {
   explicit IntersectExpandRunner(const PlanOp& op) : op_(&op) {
     size_t lists = 0;
     for (const auto& rels : op.probe_rels) lists += rels.size();
-    scratch_.resize(lists);
     adj_scratch_.resize(lists);
   }
 
@@ -81,11 +80,9 @@ class IntersectExpandRunner {
     for (size_t c = 0; c < op_->probe_rels.size(); ++c) {
       for (RelationId rel : op_->probe_rels[c]) {
         // Per-list decode scratch: every bound probe list stays live for
-        // the whole leapfrog walk (NormalizeSpan keeps sorted_clean spans
-        // in place, decoded segment spans included).
-        lists_.push_back(NormalizeSpan(
-            view.Neighbors(rel, probe_vals[c], &adj_scratch_[li]),
-            &scratch_[li]));
+        // the whole leapfrog walk, decoded segment spans included.
+        lists_.push_back(
+            view.Neighbors(rel, probe_vals[c], &adj_scratch_[li]));
         column_of_.push_back(static_cast<uint32_t>(c));
         ++li;
       }
@@ -108,9 +105,8 @@ class IntersectExpandRunner {
  private:
   const PlanOp* op_;
   IntersectProber prober_;
-  std::vector<SortedList> lists_;
+  std::vector<AdjSpan> lists_;
   std::vector<uint32_t> column_of_;
-  std::vector<std::vector<VertexId>> scratch_;
   std::vector<AdjScratch> adj_scratch_;
   AdjScratch driver_adj_;
 };

@@ -76,7 +76,7 @@ class FBlock {
                                                 std::move(stamps)}));
     const AdjScratch& o = *owned_.back();
     AdjSpan span{o.ids.data(), o.stamps.empty() ? nullptr : o.stamps.data(),
-                 static_cast<uint32_t>(o.ids.size()), /*tombstones=*/0};
+                 static_cast<uint32_t>(o.ids.size())};
     AppendSegment(span);
   }
   size_t NumSegments() const { return segments_.size(); }

@@ -51,10 +51,9 @@ class GraphView {
     graph_->ScanLabel(label, version_, out);
   }
 
-  // True if an edge v -> w exists in any of `rels` (tombstones skipped).
-  // Galloping search over the sorted neighbor list (linear only for the
-  // rare tombstoned base span); `stats` may be null. The probe consumes
-  // each span before fetching the next, so one scratch serves all rels.
+  // True if an edge v -> w exists in any of `rels`. Galloping search over
+  // the sorted neighbor list; `stats` may be null. The probe consumes each
+  // span before fetching the next, so one scratch serves all rels.
   bool HasEdge(const std::vector<RelationId>& rels, VertexId v, VertexId w,
                IntersectOpStats* stats = nullptr,
                AdjScratch* scratch = nullptr) const {

@@ -60,9 +60,9 @@ void Usage(const char* argv0) {
       "  --compact-interval-seconds S  background delta-merge compaction\n"
       "                     cadence in seconds; runs as a low-priority\n"
       "                     scheduler job (default 0 = disabled)\n"
-      "  --compact-trigger-frag-pct F  fragmentation threshold in [0,1]: a\n"
-      "                     relation is compacted once tombstones + slack\n"
-      "                     exceed F of its adjacency pool (default 0.3)\n"
+      "  --compact-trigger-frag-pct F  threshold in [0,1]: a relation is\n"
+      "                     compacted once its overlay chains reach F of\n"
+      "                     its adjacency footprint (default 0.3)\n"
       "  --grace S          drain grace period on shutdown (default 5)\n"
       "  --data-dir DIR     durable store directory (snapshot + WAL);\n"
       "                     recovers from it on restart (default: in-memory)\n"

@@ -86,9 +86,8 @@ struct ServiceConfig {
   // and executed as a low-priority TaskScheduler job so it never displaces
   // query morsels. <= 0 disables background compaction.
   double compact_interval_seconds = 0;
-  // Per-relation trigger: compact once the reclaimable share
-  // (fragmentation + overlay bytes) reaches this fraction of the
-  // relation's footprint.
+  // Per-relation trigger: compact once the reclaimable share (overlay
+  // chain bytes) reaches this fraction of the relation's footprint.
   double compact_trigger_frag_pct = 0.30;
 
   // --- WAL-shipping replication (DESIGN.md §13) ---

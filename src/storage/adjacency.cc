@@ -2,52 +2,64 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <utility>
 
 namespace ges {
 
-void AdjacencyTable::StageEdge(VertexId src, VertexId dst, int64_t stamp) {
-  assert(!finalized_);
+void AdjacencyTable::StageEdge(uint32_t src, VertexId dst, int64_t stamp) {
   staged_src_.push_back(src);
   staged_dst_.push_back(dst);
   if (has_stamp_) staged_stamp_.push_back(stamp);
 }
 
-void AdjacencyTable::Finalize(size_t num_vertices) {
-  assert(!finalized_);
-  meta_.assign(num_vertices, Meta{});
-  // Phase 1: degree count.
-  std::vector<uint32_t> degree(num_vertices, 0);
-  for (VertexId s : staged_src_) {
-    assert(s < num_vertices);
-    ++degree[s];
+void AdjacencyTable::Finalize(size_t num_sources) {
+  assert(csr_owner_ == nullptr);
+  // Row starts are u32: a table holds at most 4G - 1 edges. Fail loudly
+  // rather than let the offsets wrap and corrupt every later lookup.
+  if (staged_src_.size() > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr,
+                 "AdjacencyTable::Finalize: %zu edges exceed the u32 CSR "
+                 "offset range\n",
+                 staged_src_.size());
+    std::abort();
   }
-  // Phase 2: prefix offsets.
-  std::vector<size_t> offset(num_vertices + 1, 0);
-  for (size_t v = 0; v < num_vertices; ++v) {
-    offset[v + 1] = offset[v] + degree[v];
+  auto csr = std::make_shared<Csr>();
+  std::vector<uint32_t>& offsets = csr->offsets;
+  // Phase 1: degree count, shifted by one so the prefix sum below turns
+  // offsets into CSR row starts in place.
+  offsets.assign(num_sources + 1, 0);
+  for (uint32_t s : staged_src_) {
+    assert(s < num_sources);
+    ++offsets[s + 1];
   }
-  size_t total = offset[num_vertices];
-  packed_ids_.resize(total);
-  if (has_stamp_) packed_stamps_.resize(total);
-  // Phase 3: fill (stable within each vertex: keeps datagen order).
-  std::vector<size_t> cursor(offset.begin(), offset.end() - 1);
+  size_t sources = 0;
+  for (size_t o = 0; o < num_sources; ++o) {
+    if (offsets[o + 1] > 0) ++sources;
+    offsets[o + 1] += offsets[o];
+  }
+  const size_t total = offsets[num_sources];
+  csr->ids.resize(total);
+  if (has_stamp_) csr->stamps.resize(total);
+  // Phase 2: fill (stable within each vertex: keeps datagen order).
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
   for (size_t e = 0; e < staged_src_.size(); ++e) {
-    size_t pos = cursor[staged_src_[e]]++;
-    packed_ids_[pos] = staged_dst_[e];
-    if (has_stamp_) packed_stamps_[pos] = staged_stamp_[e];
+    uint32_t pos = cursor[staged_src_[e]]++;
+    csr->ids[pos] = staged_dst_[e];
+    if (has_stamp_) csr->stamps[pos] = staged_stamp_[e];
   }
-  // Phase 4: sort each vertex's list by neighbor id (stable, so parallel
+  // Phase 3: sort each vertex's list by neighbor id (stable, so parallel
   // edges keep their staging order). Sorted lists are the storage invariant
   // the intersection/galloping primitives rely on (storage/intersect.h).
   std::vector<uint32_t> perm;
   std::vector<VertexId> tmp_ids;
   std::vector<int64_t> tmp_stamps;
-  for (size_t v = 0; v < num_vertices; ++v) {
-    uint32_t d = degree[v];
-    if (d < 2) continue;
-    VertexId* ids = packed_ids_.data() + offset[v];
-    if (std::is_sorted(ids, ids + d)) continue;
+  for (size_t o = 0; o < num_sources; ++o) {
+    const uint32_t d = offsets[o + 1] - offsets[o];
+    VertexId* ids = csr->ids.data() + offsets[o];
+    if (d < 2 || std::is_sorted(ids, ids + d)) continue;
     perm.resize(d);
     for (uint32_t i = 0; i < d; ++i) perm[i] = i;
     std::stable_sort(perm.begin(), perm.end(),
@@ -55,162 +67,43 @@ void AdjacencyTable::Finalize(size_t num_vertices) {
     tmp_ids.assign(ids, ids + d);
     for (uint32_t i = 0; i < d; ++i) ids[i] = tmp_ids[perm[i]];
     if (has_stamp_) {
-      int64_t* stamps = packed_stamps_.data() + offset[v];
+      int64_t* stamps = csr->stamps.data() + offsets[o];
       tmp_stamps.assign(stamps, stamps + d);
       for (uint32_t i = 0; i < d; ++i) stamps[i] = tmp_stamps[perm[i]];
     }
   }
-  size_t sources = 0;
-  for (size_t v = 0; v < num_vertices; ++v) {
-    Meta& m = meta_[v];
-    m.size = m.capacity = degree[v];
-    if (degree[v] > 0) {
-      m.ids = packed_ids_.data() + offset[v];
-      if (has_stamp_) m.stamps = packed_stamps_.data() + offset[v];
-      ++sources;
-    }
-  }
   num_sources_.store(sources, std::memory_order_relaxed);
   num_edges_.store(total, std::memory_order_relaxed);
-  staged_src_.clear();
-  staged_src_.shrink_to_fit();
-  staged_dst_.clear();
-  staged_dst_.shrink_to_fit();
-  staged_stamp_.clear();
-  staged_stamp_.shrink_to_fit();
-  finalized_ = true;
-}
-
-void AdjacencyTable::EnsureVertexCapacity(size_t n) {
-  if (meta_.size() < n) meta_.resize(n);
-}
-
-void AdjacencyTable::Grow(Meta& m, uint32_t min_capacity) {
-  uint32_t new_cap = m.capacity == 0 ? 4 : m.capacity * 2;
-  while (new_cap < min_capacity) new_cap *= 2;
-  if (update_arena_ == nullptr) update_arena_ = std::make_unique<Arena>();
-  VertexId* new_ids = update_arena_->AllocateArray<VertexId>(new_cap);
-  if (m.size > 0) std::memcpy(new_ids, m.ids, m.size * sizeof(VertexId));
-  m.ids = new_ids;
-  if (has_stamp_) {
-    int64_t* new_stamps = update_arena_->AllocateArray<int64_t>(new_cap);
-    if (m.size > 0) {
-      std::memcpy(new_stamps, m.stamps, m.size * sizeof(int64_t));
-    }
-    m.stamps = new_stamps;
-  }
-  // The vertex's old array is orphaned (packed buffers and arena slabs are
-  // never reused); the slack gauge follows the capacity change.
-  dead_slots_ += m.capacity;
-  slack_slots_ += new_cap - m.capacity;
-  m.capacity = new_cap;
-}
-
-void AdjacencyTable::InsertEdge(VertexId src, VertexId dst, int64_t stamp) {
-  EnsureVertexCapacity(src + 1);
-  Meta& m = meta_[src];
-  // Meta::ids is non-const by construction; packed storage is owned by us.
-  VertexId* ids = const_cast<VertexId*>(m.ids);
-  int64_t* stamps = const_cast<int64_t*>(m.stamps);
-  // Compact tombstones away first: live ids stay sorted, so dropping the
-  // kInvalidVertex slots restores a plain sorted array to insert into.
-  if (m.tombstones > 0) {
-    uint32_t w = 0;
-    for (uint32_t i = 0; i < m.size; ++i) {
-      if (ids[i] == kInvalidVertex) continue;
-      ids[w] = ids[i];
-      if (has_stamp_) stamps[w] = stamps[i];
-      ++w;
-    }
-    tombstone_slots_ -= m.tombstones;
-    slack_slots_ += m.size - w;  // freed slots become reusable slack
-    m.size = w;
-    m.tombstones = 0;
-  }
-  if (m.size == m.capacity) {
-    Grow(m, m.size + 1);
-    ids = const_cast<VertexId*>(m.ids);
-    stamps = const_cast<int64_t*>(m.stamps);
-  }
-  if (m.size == 0) num_sources_.fetch_add(1, std::memory_order_relaxed);
-  --slack_slots_;  // the inserted edge consumes one slot of capacity
-  // Insert at the sorted position (upper bound: parallel edges keep
-  // insertion order, matching Finalize's stable sort).
-  uint32_t pos =
-      static_cast<uint32_t>(std::upper_bound(ids, ids + m.size, dst) - ids);
-  std::memmove(ids + pos + 1, ids + pos, (m.size - pos) * sizeof(VertexId));
-  ids[pos] = dst;
-  if (has_stamp_) {
-    std::memmove(stamps + pos + 1, stamps + pos,
-                 (m.size - pos) * sizeof(int64_t));
-    stamps[pos] = stamp;
-  }
-  ++m.size;
-  num_edges_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool AdjacencyTable::RemoveEdge(VertexId src, VertexId dst) {
-  if (src >= meta_.size()) return false;
-  Meta& m = meta_[src];
-  for (uint32_t i = 0; i < m.size; ++i) {
-    if (m.ids[i] == dst) {
-      const_cast<VertexId*>(m.ids)[i] = kInvalidVertex;
-      ++m.tombstones;
-      ++tombstone_slots_;
-      num_edges_.fetch_sub(1, std::memory_order_relaxed);
-      if (m.size == m.tombstones &&
-          num_sources_.load(std::memory_order_relaxed) > 0) {
-        num_sources_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      return true;
-    }
-  }
-  return false;
+  staged_src_ = std::vector<uint32_t>();
+  staged_dst_ = std::vector<VertexId>();
+  staged_stamp_ = std::vector<int64_t>();
+  csr_owner_ = csr;
+  csr_.store(csr.get(), std::memory_order_release);
 }
 
 size_t AdjacencyTable::MemoryBytes() const {
-  // Capacity, not size, everywhere: the staging buffers (which used to be
-  // invisible, so bulk loads under-reported by the whole edge list), the
-  // packed arrays' slack, and every arena slab reserved for growth.
-  return staged_src_.capacity() * sizeof(VertexId) +
-         staged_dst_.capacity() * sizeof(VertexId) +
-         staged_stamp_.capacity() * sizeof(int64_t) +
-         packed_ids_.capacity() * sizeof(VertexId) +
-         packed_stamps_.capacity() * sizeof(int64_t) +
-         meta_.capacity() * sizeof(Meta) +
-         (update_arena_ != nullptr ? update_arena_->bytes_reserved() : 0);
+  // Capacity, not size: the staging buffers (which used to be invisible, so
+  // bulk loads under-reported by the whole edge list) and any slack in the
+  // packed arrays.
+  size_t bytes = staged_src_.capacity() * sizeof(uint32_t) +
+                 staged_dst_.capacity() * sizeof(VertexId) +
+                 staged_stamp_.capacity() * sizeof(int64_t);
+  // Through the reader-side pointer: the governor polls this lock-free
+  // while a compaction swap may be detaching the CSR.
+  if (const Csr* csr = this->csr()) {
+    bytes += csr->offsets.capacity() * sizeof(uint32_t) +
+             csr->ids.capacity() * sizeof(VertexId) +
+             csr->stamps.capacity() * sizeof(int64_t);
+  }
+  return bytes;
 }
 
-size_t AdjacencyTable::FragmentationBytes() const {
-  return (tombstone_slots_ + slack_slots_ + dead_slots_) * SlotBytes();
-}
-
-std::shared_ptr<const void> AdjacencyTable::DetachStorage() {
-  struct Holder {
-    std::vector<VertexId> packed_ids;
-    std::vector<int64_t> packed_stamps;
-    std::vector<Meta> meta;
-    std::unique_ptr<Arena> arena;
-  };
-  auto holder = std::make_shared<Holder>();
-  holder->packed_ids = std::move(packed_ids_);
-  holder->packed_stamps = std::move(packed_stamps_);
-  holder->meta = std::move(meta_);
-  holder->arena = std::move(update_arena_);
-  packed_ids_ = std::vector<VertexId>();
-  packed_stamps_ = std::vector<int64_t>();
-  meta_ = std::vector<Meta>();
-  update_arena_.reset();
-  tombstone_slots_ = slack_slots_ = dead_slots_ = 0;
-  num_edges_.store(0, std::memory_order_relaxed);
-  num_sources_.store(0, std::memory_order_relaxed);
-  return holder;
-}
-
-void AdjacencyTable::RestoreCompacted(size_t num_edges, size_t num_sources) {
+std::shared_ptr<const void> AdjacencyTable::DetachStorage(
+    size_t num_edges, size_t num_sources) {
+  csr_.store(nullptr, std::memory_order_release);
   num_edges_.store(num_edges, std::memory_order_relaxed);
   num_sources_.store(num_sources, std::memory_order_relaxed);
-  finalized_ = true;
+  return std::move(csr_owner_);
 }
 
 }  // namespace ges

@@ -2,11 +2,12 @@
 //
 // The whole topology is stored as an array-of-arrays: for every relation key
 // (srcLabel, edgeLabel, dstLabel, direction) there is one AdjacencyTable
-// whose `adjMeta` array (indexed by the global VertexId) records the RAM
-// address and length of that vertex's `adjArray`. Bulk load packs all
-// adjArrays into one contiguous buffer; incremental inserts reallocate an
-// individual vertex's array with doubling capacity; deletes tombstone the
-// slot ("marking for deletion").
+// holding the paper's `adjMeta` -> `adjArray` pair as a CSR. The index is
+// addressed by the source vertex's dense offset within its label, so each
+// table covers only the vertices of its source label, never the global id
+// space. Bulk load packs all adjArrays into one contiguous buffer; the base
+// is immutable afterwards, and inserts and deletes become copy-on-write
+// overlay versions (storage/version_manager.h).
 //
 // Each relation may carry at most one int64 edge property ("stamp", e.g.
 // creationDate of a KNOWS edge) stored side by side with the neighbor ids.
@@ -21,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 
 namespace ges {
@@ -34,22 +34,17 @@ using RelationId = uint32_t;
 inline constexpr RelationId kInvalidRelation = 0xffffffffu;
 
 // A non-owning view of one vertex's neighbors (and optional edge stamps).
-// `ids[i]` may be kInvalidVertex for tombstoned edges.
 //
-// Sorted invariant: the *live* ids (skipping tombstones) are in
-// nondecreasing order. Finalize sorts each vertex's packed array,
-// InsertEdge inserts at the sorted position, and overlay publication sorts
-// copy-on-write entries, so a span with `tombstones == 0` is a plain sorted
-// array and can be galloped/binary-searched directly (see
-// storage/intersect.h). Spans with tombstones must be compacted first.
+// Sorted invariant: the ids are in nondecreasing order. Finalize sorts each
+// vertex's packed array, overlay publication sorts copy-on-write entries,
+// and compressed segments are built from sorted lists, so every span can be
+// galloped/binary-searched directly (see storage/intersect.h).
 struct AdjSpan {
   const VertexId* ids = nullptr;
   const int64_t* stamps = nullptr;  // nullptr if the relation has no stamp
   uint32_t size = 0;
-  uint32_t tombstones = 0;  // kInvalidVertex slots hiding inside [0, size)
 
   bool empty() const { return size == 0; }
-  bool sorted_clean() const { return tombstones == 0; }
 };
 
 // Caller-owned decode buffers for reads that may hit a compressed segment
@@ -84,12 +79,33 @@ struct RelationKeyHash {
   }
 };
 
-// One adjacency table: adjMeta (per-vertex pointer/length) plus the packed
-// neighbor buffer. Not thread-safe for writes; the version manager
-// serializes writers per vertex and publishes copy-on-write snapshots for
-// readers of concurrently-updated vertices.
+// One base adjacency table: an immutable CSR over the vertices of the
+// table's source label, addressed by their dense label-local offset
+// (Graph::OffsetInLabel) rather than the global VertexId — the index costs
+// (|source label| + 1) u32 offsets instead of a slot per graph vertex.
+// Built once by Finalize; every later update lives in the MVCC overlays
+// (storage/version_manager.h) that Graph::Neighbors resolves first.
 class AdjacencyTable {
  public:
+  // The CSR Finalize builds: source offset o owns packed slots
+  // [offsets[o], offsets[o + 1]), sorted by neighbor id. Immutable once
+  // published.
+  struct Csr {
+    std::vector<uint32_t> offsets;
+    std::vector<VertexId> ids;
+    std::vector<int64_t> stamps;  // empty if the relation has no stamp
+
+    // Neighbors of the source-label vertex at offset `src`; empty past
+    // the end.
+    AdjSpan NeighborsAt(uint32_t src) const {
+      if (size_t{src} + 1 >= offsets.size()) return AdjSpan{};
+      const uint32_t begin = offsets[src];
+      return AdjSpan{ids.data() + begin,
+                     stamps.empty() ? nullptr : stamps.data() + begin,
+                     offsets[src + 1] - begin};
+    }
+  };
+
   AdjacencyTable(RelationKey key, bool has_stamp)
       : key_(key), has_stamp_(has_stamp) {}
 
@@ -98,109 +114,57 @@ class AdjacencyTable {
   size_t num_edges() const {
     return num_edges_.load(std::memory_order_relaxed);
   }
-  // Vertices with at least one live out-slot; with num_edges() this gives
-  // the average degree the optimizer's intersection cost model uses.
+  // Vertices with at least one out-edge; with num_edges() this gives the
+  // average degree the optimizer's intersection cost model uses.
   size_t num_sources() const {
     return num_sources_.load(std::memory_order_relaxed);
   }
 
   // --- bulk load (two-phase: stage edges, then Finalize packs them) ---
-  void StageEdge(VertexId src, VertexId dst, int64_t stamp = 0);
-  // Packs staged edges into the contiguous buffer. `num_vertices` sizes the
-  // adjMeta array (global id space).
-  void Finalize(size_t num_vertices);
-  bool finalized() const { return finalized_; }
+  // `src` is the source vertex's offset within key().src_label.
+  void StageEdge(uint32_t src, VertexId dst, int64_t stamp = 0);
+  // Packs staged edges into the CSR; `num_sources` is the size of the
+  // source label (every staged `src` is below it). Called once.
+  void Finalize(size_t num_sources);
 
-  // --- reads ---
-  AdjSpan Neighbors(VertexId v) const {
-    if (v >= meta_.size()) return AdjSpan{};
-    const Meta& m = meta_[v];
-    return AdjSpan{m.ids, has_stamp_ ? m.stamps : nullptr, m.size,
-                   m.tombstones};
-  }
-  uint32_t Degree(VertexId v) const {
-    return v < meta_.size() ? meta_[v].size - meta_[v].tombstones : 0;
-  }
+  // The published CSR; nullptr before Finalize and after DetachStorage.
+  // One acquire load reaches all of it, so a reader racing a compaction
+  // swap holds either the complete CSR (kept alive on the retire list) or
+  // none.
+  const Csr* csr() const { return csr_.load(std::memory_order_acquire); }
 
-  // --- updates (called with the vertex's write lock held) ---
-  // Inserts an edge at its sorted position (compacting any tombstones
-  // first); grows the vertex's array (doubling) when full.
-  void InsertEdge(VertexId src, VertexId dst, int64_t stamp = 0);
-  // Tombstones the first live (src -> dst) edge. Returns false if absent.
-  bool RemoveEdge(VertexId src, VertexId dst);
-
-  // Ensures adjMeta covers vertices [0, n).
-  void EnsureVertexCapacity(size_t n);
-
-  // Everything the table holds, staged buffers and growth slack included
-  // (the governor watermark and the compaction trigger must see capacity,
-  // not just live size — DESIGN.md §16).
+  // Everything the table holds, staged buffers included (the governor
+  // watermark must see capacity, not just live size — DESIGN.md §16).
   size_t MemoryBytes() const;
 
-  // Bytes held but not serving live edges: grow-on-insert slack (capacity
-  // beyond size), tombstoned slots, and storage abandoned by doubling
-  // reallocation inside the update arena. This is the compaction trigger's
-  // numerator.
-  size_t FragmentationBytes() const;
-  size_t tombstone_slots() const { return tombstone_slots_; }
-
   // --- compaction handoff (DESIGN.md §16) ---
-  // Detaches all neighbor storage (packed buffers, adjMeta, update arena)
-  // into an opaque keepalive and leaves the table empty-but-finalized.
-  // Pinned readers may still hold AdjSpans into the detached storage, so
-  // the caller parks the keepalive on the graph's retire list until the GC
-  // watermark passes the swap version. Called with the commit mutex held.
-  std::shared_ptr<const void> DetachStorage();
-  // Restores the edge totals after a detach so AvgDegree and the optimizer
-  // cost model keep working while a compressed segment serves the reads.
-  void RestoreCompacted(size_t num_edges, size_t num_sources);
+  // Unpublishes the CSR and returns it as an opaque keepalive, leaving the
+  // table empty. Pinned readers may still hold AdjSpans into it, so the
+  // caller parks the keepalive on the graph's retire list until the GC
+  // watermark passes the swap version. The edge totals become the
+  // replacing segment's, so AvgDegree and the optimizer cost model keep
+  // working. Called with the commit mutex held.
+  std::shared_ptr<const void> DetachStorage(size_t num_edges,
+                                            size_t num_sources);
 
  private:
-  struct Meta {
-    VertexId* ids = nullptr;
-    int64_t* stamps = nullptr;
-    uint32_t size = 0;       // slots in use (including tombstones)
-    uint32_t capacity = 0;   // allocated slots
-    uint32_t tombstones = 0;
-  };
-
-  void Grow(Meta& m, uint32_t min_capacity);
-  size_t SlotBytes() const {
-    return sizeof(VertexId) + (has_stamp_ ? sizeof(int64_t) : 0);
-  }
-
   RelationKey key_;
   bool has_stamp_;
-  bool finalized_ = false;
   // Relaxed atomics: the compaction swap rewrites both under the commit
   // mutex while the optimizer's cost model reads them lock-free mid-plan;
   // a slightly stale degree estimate is fine, a torn read is not.
   std::atomic<size_t> num_edges_{0};
   std::atomic<size_t> num_sources_{0};
 
-  // Fragmentation gauges (O(1), maintained by the update path):
-  //   tombstone_slots_  live array slots holding kInvalidVertex
-  //   slack_slots_      capacity - size summed over all vertices
-  //   dead_slots_       slots orphaned in the arena / packed buffers when
-  //                     Grow moved a vertex's array (the old storage is
-  //                     never reused)
-  size_t tombstone_slots_ = 0;
-  size_t slack_slots_ = 0;
-  size_t dead_slots_ = 0;
-
   // Staged (bulk) edges before Finalize.
-  std::vector<VertexId> staged_src_;
+  std::vector<uint32_t> staged_src_;
   std::vector<VertexId> staged_dst_;
   std::vector<int64_t> staged_stamp_;
 
-  // Packed storage after Finalize. meta_[v].ids points either into these
-  // buffers or into arena-allocated per-vertex arrays after growth.
-  // update_arena_ is heap-held so DetachStorage can hand the whole pool to
-  // the retire list while readers drain.
-  std::vector<VertexId> packed_ids_;
-  std::vector<int64_t> packed_stamps_;
-  std::vector<Meta> meta_;
-  std::unique_ptr<Arena> update_arena_;  // pool backing post-load growth
+  // `csr_owner_` holds the CSR until DetachStorage hands it off; `csr_` is
+  // the lock-free reader-side acquire point.
+  std::shared_ptr<const Csr> csr_owner_;
+  std::atomic<const Csr*> csr_{nullptr};
 };
 
 }  // namespace ges

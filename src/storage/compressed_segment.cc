@@ -129,7 +129,7 @@ AdjSpan CompressedSegment::Decode(VertexId v, AdjScratch* scratch) const {
     stamps = scratch->stamps.data();
   }
   assert(p <= blob_.data() + offsets_[v + 1]);
-  return AdjSpan{scratch->ids.data(), stamps, n, /*tombstones=*/0};
+  return AdjSpan{scratch->ids.data(), stamps, n};
 }
 
 }  // namespace ges

@@ -21,8 +21,7 @@
 // 1 means zigzag-varint(first stamp) followed by zigzag-varint deltas.
 //
 // Decoding materializes into caller-owned AdjScratch buffers; the returned
-// AdjSpan is sorted_clean() (compaction drops tombstones), so the WCOJ
-// galloping path consumes it unchanged.
+// AdjSpan is sorted, so the WCOJ galloping path consumes it unchanged.
 #ifndef GES_STORAGE_COMPRESSED_SEGMENT_H_
 #define GES_STORAGE_COMPRESSED_SEGMENT_H_
 
@@ -38,7 +37,7 @@ namespace ges {
 class CompressedSegment {
  public:
   // Streams vertices 0..n-1 in order; each Add appends the next vertex's
-  // live sorted neighbor list (tombstones already skipped by the caller).
+  // sorted neighbor list.
   class Builder {
    public:
     explicit Builder(bool has_stamp) : has_stamp_(has_stamp) {}
@@ -75,7 +74,7 @@ class CompressedSegment {
   size_t num_sources() const { return num_sources_; }
 
   // Decodes vertex `v`'s neighbor list into `scratch` and returns a span
-  // over it (sorted_clean, stamps non-null iff has_stamp()). The span is
+  // over it (sorted, stamps non-null iff has_stamp()). The span is
   // valid until `scratch` is reused or destroyed.
   AdjSpan Decode(VertexId v, AdjScratch* scratch) const;
 

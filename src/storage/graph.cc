@@ -58,10 +58,13 @@ VertexId Graph::AddVertexBulk(LabelId label, int64_t ext_id) {
     property_tables_[label] =
         std::make_unique<PropertyTable>(types, &string_dict_);
   }
-  label_of_.push_back(label);
+  // The dense offset within the label addresses both the property row and
+  // the adjacency CSRs. It comes from the label's vertex count, not from
+  // AppendRow: a table without columns has no rows to count.
+  property_tables_[label]->AppendRow();
+  slot_of_.push_back(
+      BulkSlot{label, static_cast<uint32_t>(bulk_by_label_[label].size())});
   ext_of_.push_back(ext_id);
-  offset_in_label_.push_back(
-      static_cast<uint32_t>(property_tables_[label]->AppendRow()));
   bulk_by_label_[label].push_back(id);
   ext_index_[ExtKey(label, ext_id)] = id;
   return id;
@@ -69,38 +72,40 @@ VertexId Graph::AddVertexBulk(LabelId label, int64_t ext_id) {
 
 void Graph::SetPropertyBulk(VertexId v, PropertyId prop, const Value& val) {
   assert(!finalized_);
-  LabelId label = label_of_[v];
-  int slot = catalog_.PropertySlot(label, prop);
+  const BulkSlot at = slot_of_[v];
+  int slot = catalog_.PropertySlot(at.label, prop);
   assert(slot >= 0);
-  property_tables_[label]->Set(offset_in_label_[v], slot, val);
+  property_tables_[at.label]->Set(at.offset, slot, val);
 }
 
 void Graph::SetPropertyBulkString(VertexId v, PropertyId prop,
                                   std::string_view s) {
   assert(!finalized_);
-  LabelId label = label_of_[v];
-  int slot = catalog_.PropertySlot(label, prop);
+  const BulkSlot at = slot_of_[v];
+  int slot = catalog_.PropertySlot(at.label, prop);
   assert(slot >= 0);
-  property_tables_[label]->SetString(offset_in_label_[v], slot, s);
+  property_tables_[at.label]->SetString(at.offset, slot, s);
 }
 
 void Graph::AddEdgeBulk(LabelId edge_label, VertexId src, VertexId dst,
                         int64_t stamp) {
   assert(!finalized_);
-  LabelId sl = label_of_[src];
-  LabelId dl = label_of_[dst];
+  LabelId sl = slot_of_[src].label;
+  LabelId dl = slot_of_[dst].label;
   RelationId out_rel = FindRelation(sl, edge_label, dl, Direction::kOut);
   RelationId in_rel = FindRelation(dl, edge_label, sl, Direction::kIn);
   assert(out_rel != kInvalidRelation && in_rel != kInvalidRelation);
-  tables_[out_rel].table->StageEdge(src, dst, stamp);
-  tables_[in_rel].table->StageEdge(dst, src, stamp);
+  tables_[out_rel].table->StageEdge(slot_of_[src].offset, dst, stamp);
+  tables_[in_rel].table->StageEdge(slot_of_[dst].offset, src, stamp);
 }
 
 void Graph::FinalizeBulk() {
   assert(!finalized_);
   bulk_vertex_count_ = next_vertex_id_.load(std::memory_order_relaxed);
   for (TableEntry& t : tables_) {
-    t.table->Finalize(bulk_vertex_count_);
+    const LabelId src = t.table->key().src_label;
+    t.table->Finalize(src < bulk_by_label_.size() ? bulk_by_label_[src].size()
+                                                  : 0);
   }
   finalized_ = true;
 }
@@ -110,19 +115,15 @@ uint32_t Graph::Degree(RelationId rel, VertexId v, Version snapshot) const {
   if (!t.overlay->empty()) {
     const AdjOverlayEntry* e = t.overlay->Find(v, snapshot);
     if (e != nullptr) {
-      // Overlay entries are tombstone-free: the size is the degree.
       return static_cast<uint32_t>(e->ids.size());
     }
   }
-  // Segment degrees are precomputed — no decode needed.
+  // Base before segment, as in Neighbors. Segment degrees are
+  // precomputed — no decode needed.
+  const AdjacencyTable::Csr* base = t.table->csr();
   const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
   if (seg != nullptr && seg->Covers(v)) return seg->DegreeOf(v);
-  AdjSpan span = t.table->Neighbors(v);
-  uint32_t n = 0;
-  for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] != kInvalidVertex) ++n;
-  }
-  return n;
+  return BaseNeighbors(*t.table, base, v).size;
 }
 
 Value Graph::GetProperty(VertexId v, PropertyId prop, Version snapshot) const {
@@ -131,10 +132,10 @@ Value Graph::GetProperty(VertexId v, PropertyId prop, Version snapshot) const {
     if (prop_overlay_.Find(v, prop, snapshot, &out)) return out;
   }
   if (v < bulk_vertex_count_) {
-    LabelId label = label_of_[v];
-    int slot = catalog_.PropertySlot(label, prop);
+    const BulkSlot at = slot_of_[v];
+    int slot = catalog_.PropertySlot(at.label, prop);
     if (slot < 0) return Value::Null();
-    return property_tables_[label]->Get(offset_in_label_[v], slot);
+    return property_tables_[at.label]->Get(at.offset, slot);
   }
   return Value::Null();
 }
@@ -188,7 +189,8 @@ void Graph::GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
       out->AppendZero();
       continue;
     }
-    LabelId label = label_of_[v];
+    const BulkSlot at = slot_of_[v];
+    const LabelId label = at.label;
     if (label >= col_cache.size()) {
       col_cache.resize(label + 1, nullptr);
       col_resolved.resize(label + 1, 0);
@@ -203,15 +205,15 @@ void Graph::GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
       continue;
     }
     if (col->type() == out->type()) {
-      out->AppendFrom(*col, offset_in_label_[v]);
+      out->AppendFrom(*col, at.offset);
     } else {
-      out->AppendValue(col->GetValue(offset_in_label_[v]));
+      out->AppendValue(col->GetValue(at.offset));
     }
   }
 }
 
 LabelId Graph::LabelOf(VertexId v, Version snapshot) const {
-  if (v < bulk_vertex_count_) return label_of_[v];
+  if (v < bulk_vertex_count_) return slot_of_[v].label;
   NewVertex nv;
   if (new_vertices_.Find(v, &nv) && nv.version <= snapshot) return nv.label;
   return kInvalidLabel;
@@ -236,10 +238,13 @@ int64_t Graph::ExtIdOf(VertexId v, Version snapshot) const {
 }
 
 std::vector<Graph::RelationInfo> Graph::Relations() const {
+  // Registration order (not hash order), so a snapshot saved after a load
+  // lists relations exactly as the file it was loaded from did.
   std::vector<RelationInfo> out;
-  for (const auto& [key, id] : table_index_) {
+  for (const TableEntry& t : tables_) {
+    const RelationKey& key = t.table->key();
     if (key.direction != Direction::kOut) continue;
-    out.push_back(RelationInfo{key, tables_[id].table->has_stamp()});
+    out.push_back(RelationInfo{key, t.table->has_stamp()});
   }
   return out;
 }
@@ -286,9 +291,8 @@ size_t Graph::MemoryBytes() const {
   for (const auto& pt : property_tables_) {
     if (pt != nullptr) bytes += pt->MemoryBytes();
   }
-  bytes += label_of_.capacity() * sizeof(LabelId) +
-           ext_of_.capacity() * sizeof(int64_t) +
-           offset_in_label_.capacity() * sizeof(uint32_t);
+  bytes += slot_of_.capacity() * sizeof(BulkSlot) +
+           ext_of_.capacity() * sizeof(int64_t);
   bytes += string_dict_.MemoryBytes();
   // MVCC overlay chains and the new-vertex registry: under sustained
   // update traffic this is where the memory actually is, and the GC
@@ -298,6 +302,13 @@ size_t Graph::MemoryBytes() const {
   // go of. Counting it keeps the gauge honest between swap and drain.
   bytes += retired_bytes_.load(std::memory_order_relaxed);
   return bytes;
+}
+
+size_t Graph::RelationMemoryBytes(RelationId rel) const {
+  const TableEntry& t = tables_[rel];
+  const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
+  return t.table->MemoryBytes() + t.overlay->MemoryBytes() +
+         (seg != nullptr ? seg->MemoryBytes() : 0);
 }
 
 GcStats Graph::PruneVersions() {
@@ -344,10 +355,8 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
   const size_t num_vertices = NumVerticesTotal();
 
   AdjScratch decode_scratch;
-  AdjScratch clean_scratch;
   for (RelationId rel = 0; rel < tables_.size(); ++rel) {
     TableEntry& t = tables_[rel];
-    if (!t.table->finalized()) continue;
     if (!opts.only.empty() &&
         std::find(opts.only.begin(), opts.only.end(), rel) ==
             opts.only.end()) {
@@ -355,20 +364,17 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
     }
     const CompressedSegment* old_seg =
         t.segment.load(std::memory_order_acquire);
-    const size_t bytes_before = t.table->MemoryBytes() +
-                                t.overlay->MemoryBytes() +
-                                (old_seg != nullptr ? old_seg->MemoryBytes()
-                                                    : 0);
+    const size_t bytes_before = RelationMemoryBytes(rel);
     if (t.table->num_edges() == 0 && t.overlay->empty() &&
         old_seg == nullptr) {
       continue;  // nothing stored, nothing to merge
     }
     if (!opts.force) {
-      // Reclaimable share: base-array fragmentation plus the overlay
-      // chains the merge will collapse (entries above the cut survive, so
-      // this is an upper-bound estimate — fine for a trigger).
-      const size_t reclaimable =
-          t.table->FragmentationBytes() + t.overlay->MemoryBytes();
+      // Reclaimable share: the overlay chains the merge will collapse
+      // (entries above the cut survive, so this is an upper-bound estimate
+      // — fine for a trigger). The base CSR is immutable and holds no
+      // slack to reclaim.
+      const size_t reclaimable = t.overlay->MemoryBytes();
       if (bytes_before == 0 ||
           static_cast<double>(reclaimable) /
                   static_cast<double>(bytes_before) <
@@ -377,40 +383,36 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
       }
     }
 
-    // Merge phase, lock-free: base arrays are immutable after
+    // Merge phase, lock-free: the base CSR is immutable after
     // FinalizeBulk, overlay entries <= cut are immutable and pinned, the
     // old segment is immutable. Commits racing this loop publish at
     // versions > cut and are untouched by the collapse below.
     const bool has_stamp = t.table->has_stamp();
+    const LabelId src_label = t.table->key().src_label;
+    // Only this pass detaches the base, so one load serves the loop.
+    const AdjacencyTable::Csr* base = t.table->csr();
     CompressedSegment::Builder builder(has_stamp);
     for (VertexId v = 0; v < num_vertices; ++v) {
+      // Edges of a relation hang only off its source label (writes resolve
+      // the relation from the vertex's label), so a bulk vertex of another
+      // label gets an empty list without probing the overlay.
+      if (v < bulk_vertex_count_ && slot_of_[v].label != src_label) {
+        builder.Add(nullptr, nullptr, 0);
+        continue;
+      }
       AdjSpan span;
       const AdjOverlayEntry* e =
           t.overlay->empty() ? nullptr : t.overlay->Find(v, cut);
       if (e != nullptr) {
         span = AdjSpan{e->ids.data(),
                        has_stamp ? e->stamps.data() : nullptr,
-                       static_cast<uint32_t>(e->ids.size()), 0};
+                       static_cast<uint32_t>(e->ids.size())};
       } else if (old_seg != nullptr && old_seg->Covers(v)) {
         span = old_seg->Decode(v, &decode_scratch);
       } else {
-        span = t.table->Neighbors(v);
+        span = BaseNeighbors(*t.table, base, v);
       }
-      if (span.sorted_clean()) {
-        builder.Add(span.ids, span.stamps, span.size);
-      } else {
-        // Base spans may carry tombstones; the merge drops them for good.
-        clean_scratch.ids.clear();
-        clean_scratch.stamps.clear();
-        for (uint32_t i = 0; i < span.size; ++i) {
-          if (span.ids[i] == kInvalidVertex) continue;
-          clean_scratch.ids.push_back(span.ids[i]);
-          if (has_stamp) clean_scratch.stamps.push_back(span.stamps[i]);
-        }
-        builder.Add(clean_scratch.ids.data(),
-                    has_stamp ? clean_scratch.stamps.data() : nullptr,
-                    static_cast<uint32_t>(clean_scratch.ids.size()));
-      }
+      builder.Add(span.ids, span.stamps, span.size);
     }
     std::shared_ptr<const CompressedSegment> seg = builder.Build(cut);
 
@@ -425,7 +427,10 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
           version_manager_.commit_mutex());
       batch.install_version = CurrentVersion();
       const size_t table_bytes = t.table->MemoryBytes();
-      PruneStats collapsed = t.overlay->CollapseBelow(cut, &batch.chains);
+      // Publish the segment before collapsing the chains it absorbs and
+      // before detaching the base: a lock-free reader that then misses an
+      // entry or the base is ordered after this store and finds the
+      // segment.
       if (old_seg != nullptr) {
         batch.bytes += old_seg->MemoryBytes();
         batch.keepalives.push_back(
@@ -433,8 +438,9 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
       }
       t.segment_owner = seg;
       t.segment.store(seg.get(), std::memory_order_release);
-      batch.keepalives.push_back(t.table->DetachStorage());
-      t.table->RestoreCompacted(seg->num_edges(), seg->num_sources());
+      PruneStats collapsed = t.overlay->CollapseBelow(cut, &batch.chains);
+      batch.keepalives.push_back(
+          t.table->DetachStorage(seg->num_edges(), seg->num_sources()));
       batch.bytes += table_bytes + collapsed.bytes;
       stats.entries_collapsed += collapsed.entries;
     }
@@ -448,8 +454,7 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
     ++stats.relations_compacted;
     stats.edges_encoded += seg->num_edges();
     stats.bytes_before += bytes_before;
-    stats.bytes_after += seg->MemoryBytes() + t.table->MemoryBytes() +
-                         t.overlay->MemoryBytes();
+    stats.bytes_after += RelationMemoryBytes(rel);
   }
   pin.Release();
 
@@ -725,30 +730,26 @@ Status WriteTxn::Commit(Version* commit_version) {
       ver->version = version;
       // Seed with the newest existing list — overlay head, else the
       // compressed segment (a compaction may have collapsed the chain and
-      // detached the base array), else the base array — compacting
-      // tombstones away.
+      // detached the base CSR), else the base CSR.
       std::shared_ptr<AdjOverlayEntry> head =
           entry.overlay->Head(first.vertex);
       const CompressedSegment* seg =
           entry.segment.load(std::memory_order_acquire);
+      AdjScratch scratch;
+      AdjSpan seed;
       if (head != nullptr) {
-        for (size_t k = 0; k < head->ids.size(); ++k) {
-          if (head->ids[k] == kInvalidVertex) continue;
-          ver->ids.push_back(head->ids[k]);
-          if (has_stamp) ver->stamps.push_back(head->stamps[k]);
-        }
+        seed = AdjSpan{head->ids.data(),
+                       has_stamp ? head->stamps.data() : nullptr,
+                       static_cast<uint32_t>(head->ids.size())};
       } else if (seg != nullptr && seg->Covers(first.vertex)) {
-        AdjScratch scratch;
-        AdjSpan s = seg->Decode(first.vertex, &scratch);
-        ver->ids.assign(s.ids, s.ids + s.size);
-        if (has_stamp) ver->stamps.assign(s.stamps, s.stamps + s.size);
+        seed = seg->Decode(first.vertex, &scratch);
       } else {
-        AdjSpan base = entry.table->Neighbors(first.vertex);
-        for (uint32_t k = 0; k < base.size; ++k) {
-          if (base.ids[k] == kInvalidVertex) continue;
-          ver->ids.push_back(base.ids[k]);
-          if (has_stamp) ver->stamps.push_back(base.stamps[k]);
-        }
+        seed = graph_->BaseNeighbors(*entry.table, entry.table->csr(),
+                                     first.vertex);
+      }
+      for (uint32_t k = 0; k < seed.size; ++k) {
+        ver->ids.push_back(seed.ids[k]);
+        if (has_stamp) ver->stamps.push_back(seed.stamps[k]);
       }
       for (size_t k = i; k < j; ++k) {
         const EdgeOp& op = edge_ops_[k];

@@ -60,9 +60,8 @@ struct GcStats {
 
 // Knobs for one Graph::CompactRelations() pass (DESIGN.md §16).
 struct CompactionOptions {
-  // A relation is compacted when its reclaimable share — fragmentation
-  // bytes in the base table plus overlay chain bytes — is at least this
-  // fraction of its total footprint.
+  // A relation is compacted when its reclaimable share — its overlay
+  // chain bytes — is at least this fraction of its total footprint.
   double trigger_frag_pct = 0.30;
   // Ignore the trigger and compact every non-empty relation (tests,
   // GESSNAP4 load, `force` service admin path).
@@ -195,7 +194,8 @@ class Graph {
   RelationId FindRelation(LabelId vertex_label, LabelId edge_label,
                           LabelId neighbor_label, Direction dir) const;
 
-  // All registered relations (OUT direction only; IN tables are implied).
+  // All registered relations in registration order (OUT direction only;
+  // IN tables are implied).
   struct RelationInfo {
     RelationKey key;
     bool has_stamp;
@@ -324,17 +324,17 @@ class Graph {
   // chains plus the new-vertex registry. The GC byte trigger reads this.
   size_t OverlayBytes() const;
 
-  // Adjacency of `v` in relation `rel` as of `snapshot`. Base spans may
-  // contain kInvalidVertex (tombstones); callers skip them. Overlay entries
-  // are tombstone-free and sorted (commit publishes compacted sorted
-  // copies), so their spans are always sorted_clean().
+  // Adjacency of `v` in relation `rel` as of `snapshot`. Every source
+  // (base CSR, overlay entry, compressed segment) yields a sorted span.
   //
   // Resolution order: overlay chain, then the installed compressed segment
-  // (DESIGN.md §16), then the base array. Decoding a segment materializes
-  // into `scratch`, so the returned span is only valid until the scratch is
-  // reused; call sites that can observe a compacted relation must pass one
-  // (a decode with a null scratch aborts loudly — never-compacted graphs,
-  // e.g. most unit-test fixtures, are unaffected).
+  // (DESIGN.md §16), then the base CSR (empty for a vertex outside the
+  // relation's source label and for vertices created after bulk load).
+  // Decoding a segment materializes into `scratch`, so the returned span is
+  // only valid until the scratch is reused; call sites that can observe a
+  // compacted relation must pass one (a decode with a null scratch aborts
+  // loudly — never-compacted graphs, e.g. most unit-test fixtures, are
+  // unaffected).
   AdjSpan Neighbors(RelationId rel, VertexId v, Version snapshot,
                     AdjScratch* scratch = nullptr) const {
     const TableEntry& t = tables_[rel];
@@ -346,9 +346,13 @@ class Graph {
                        static_cast<uint32_t>(e->ids.size())};
       }
     }
+    // Base before segment: a compaction swap publishes the segment before
+    // it unpublishes the base, so a reader that finds no segment still
+    // holds the base, which the retire list keeps alive while it is pinned.
+    const AdjacencyTable::Csr* base = t.table->csr();
     const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
     if (seg != nullptr && seg->Covers(v)) return seg->Decode(v, scratch);
-    return t.table->Neighbors(v);
+    return BaseNeighbors(*t.table, base, v);
   }
 
   // The table traversing the same edges from the destination side:
@@ -363,9 +367,10 @@ class Graph {
     return it == table_index_.end() ? kInvalidRelation : it->second;
   }
 
-  // Mean live out-degree over vertices with out-edges, from the base
-  // table's adjMeta. Drives the optimizer's intersection cost model; the
-  // (small) overlay delta is deliberately ignored.
+  // Mean out-degree over vertices with out-edges, from the base table's
+  // (or its compressed segment's) edge totals. Drives the optimizer's
+  // intersection cost model; the (small) overlay delta is deliberately
+  // ignored.
   double AvgDegree(RelationId rel) const {
     const AdjacencyTable& t = *tables_[rel].table;
     if (t.num_sources() == 0) return 0.0;
@@ -397,7 +402,7 @@ class Graph {
 
   LabelId LabelOf(VertexId v, Version snapshot) const;
   // Dense offset of a bulk vertex within its label's property table.
-  uint32_t OffsetInLabel(VertexId v) const { return offset_in_label_[v]; }
+  uint32_t OffsetInLabel(VertexId v) const { return slot_of_[v].offset; }
 
   VertexId FindByExtId(LabelId label, int64_t ext_id, Version snapshot) const;
   // External id of `v` (the inverse of FindByExtId).
@@ -414,6 +419,9 @@ class Graph {
   size_t NumEdgesTotal() const;
 
   size_t MemoryBytes() const;
+  // Bytes one relation holds: its base CSR, overlay chains and installed
+  // compressed segment. The compaction trigger's denominator.
+  size_t RelationMemoryBytes(RelationId rel) const;
 
   // --- write transactions (MV2PL) ---
   // Locks the write set (growing phase) and returns a transaction handle.
@@ -429,6 +437,19 @@ class Graph {
 
   // Snapshot + WAL rotation with checkpoint_mu_ already held.
   Status CheckpointLocked();
+
+  // Base CSR lookup in `table`'s CSR `base` (table.csr(), nullptr once a
+  // compaction detached it). A table indexes only the bulk vertices of its
+  // source label, so any other vertex — one of another label passed by a
+  // multi-relation Expand, or one created after bulk load — has no base
+  // adjacency. slot_of_ is frozen by FinalizeBulk, so this is lock-free.
+  AdjSpan BaseNeighbors(const AdjacencyTable& table,
+                        const AdjacencyTable::Csr* base, VertexId v) const {
+    if (base == nullptr || v >= bulk_vertex_count_) return AdjSpan{};
+    const BulkSlot slot = slot_of_[v];
+    if (slot.label != table.key().src_label) return AdjSpan{};
+    return base->NeighborsAt(slot.offset);
+  }
 
   struct TableEntry {
     TableEntry() = default;
@@ -468,10 +489,15 @@ class Graph {
   std::vector<TableEntry> tables_;
   std::unordered_map<RelationKey, RelationId, RelationKeyHash> table_index_;
 
-  // Bulk vertex metadata (immutable after FinalizeBulk).
-  std::vector<LabelId> label_of_;
+  // Bulk vertex metadata (immutable after FinalizeBulk). A vertex's label
+  // and its dense offset within that label sit side by side: every base
+  // adjacency and property read needs both, so they cost one cache line.
+  struct BulkSlot {
+    LabelId label;
+    uint32_t offset;
+  };
+  std::vector<BulkSlot> slot_of_;
   std::vector<int64_t> ext_of_;
-  std::vector<uint32_t> offset_in_label_;
   std::vector<std::vector<VertexId>> bulk_by_label_;
   std::vector<std::unique_ptr<PropertyTable>> property_tables_;  // per label
   StringDict string_dict_;

@@ -27,30 +27,11 @@ uint32_t GallopLowerBound(const VertexId* a, uint32_t n, uint32_t begin,
 
 bool SpanContains(const AdjSpan& span, VertexId w, IntersectOpStats* stats) {
   if (stats != nullptr) ++stats->probes;
-  if (span.sorted_clean()) {
-    uint32_t pos = GallopLowerBound(span.ids, span.size, 0, w, stats);
-    return pos < span.size && span.ids[pos] == w;
-  }
-  // Tombstoned span: the kInvalidVertex slots break monotonicity, so fall
-  // back to the plain scan (rare: only between a RemoveEdge and the next
-  // compaction of that vertex).
-  for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] == w) return true;
-  }
-  return false;
+  uint32_t pos = GallopLowerBound(span.ids, span.size, 0, w, stats);
+  return pos < span.size && span.ids[pos] == w;
 }
 
-SortedList NormalizeSpan(const AdjSpan& span, std::vector<VertexId>* scratch) {
-  if (span.sorted_clean()) return SortedList{span.ids, span.size};
-  scratch->clear();
-  scratch->reserve(span.size - span.tombstones);
-  for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] != kInvalidVertex) scratch->push_back(span.ids[i]);
-  }
-  return SortedList{scratch->data(), static_cast<uint32_t>(scratch->size())};
-}
-
-void IntersectProber::Bind(const std::vector<SortedList>& lists,
+void IntersectProber::Bind(const std::vector<AdjSpan>& lists,
                            const std::vector<uint32_t>& column_of,
                            size_t num_columns) {
   lists_.clear();

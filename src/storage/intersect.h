@@ -3,10 +3,9 @@
 // worst-case-optimal IntersectExpand operator (see DESIGN.md §12).
 //
 // All functions rely on the storage invariant established by
-// AdjacencyTable::Finalize / InsertEdge and overlay publication: the live
-// ids of a span are in nondecreasing order. Spans that carry tombstones
-// (in-place kInvalidVertex slots) are compacted into caller-provided
-// scratch before galloping; the common tombstone-free case is zero-copy.
+// AdjacencyTable::Finalize, overlay publication and compressed-segment
+// builds: the ids of a span are in nondecreasing order, so spans are
+// galloped zero-copy.
 #ifndef GES_STORAGE_INTERSECT_H_
 #define GES_STORAGE_INTERSECT_H_
 
@@ -39,21 +38,9 @@ struct IntersectOpStats {
 uint32_t GallopLowerBound(const VertexId* a, uint32_t n, uint32_t begin,
                           VertexId key, IntersectOpStats* stats);
 
-// Membership probe for one span. Uses galloping when the span is
-// tombstone-free (the sorted invariant holds as a plain array); falls back
-// to a linear scan otherwise. This is the primitive behind
-// GraphView::HasEdge, so the binary ExpandInto pipeline benefits too.
+// Galloping membership probe for one sorted span. This is the primitive
+// behind GraphView::HasEdge, so the binary ExpandInto pipeline benefits too.
 bool SpanContains(const AdjSpan& span, VertexId w, IntersectOpStats* stats);
-
-// A sorted, tombstone-free neighbor list, possibly materialized in scratch.
-struct SortedList {
-  const VertexId* ids = nullptr;
-  uint32_t size = 0;
-};
-
-// Returns the span as a SortedList, compacting tombstones into *scratch
-// when necessary (zero-copy when span.sorted_clean()).
-SortedList NormalizeSpan(const AdjSpan& span, std::vector<VertexId>* scratch);
 
 // Leapfrog prober over the probe columns of one IntersectExpand row: holds
 // one advancing cursor per (probe column, relation) list, ordered
@@ -62,11 +49,11 @@ SortedList NormalizeSpan(const AdjSpan& span, std::vector<VertexId>* scratch);
 // exactly the binary ExpandInto chain it replaces.
 class IntersectProber {
  public:
-  // Rebinds the prober to one driver row's probe lists. `lists[i]` holds
-  // the normalized adjacency lists of probe column `column_of[i]`.
+  // Rebinds the prober to one driver row's probe lists. `lists[i]` is an
+  // adjacency list of probe column `column_of[i]`.
   // `num_columns` is the number of probe columns. Reuses internal storage:
   // no allocation after warmup.
-  void Bind(const std::vector<SortedList>& lists,
+  void Bind(const std::vector<AdjSpan>& lists,
             const std::vector<uint32_t>& column_of, size_t num_columns);
 
   // True if some probe column has no neighbors at all: no candidate can

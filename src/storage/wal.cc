@@ -484,10 +484,19 @@ Status WalWriter::WaitDurable(uint64_t lsn) {
     if (!io_error_.ok()) return io_error_;
   }
   if (options_.fsync_policy != FsyncPolicy::kAlways) return Status::OK();
+  return SyncTo(lsn);
+}
 
+Status WalWriter::SyncTo(uint64_t lsn) {
   std::unique_lock<std::mutex> lock(sync_mu_);
   for (;;) {
     if (durable_lsn_ >= lsn) return Status::OK();
+    // Appends only grow the log, so an lsn past its end was issued before a
+    // Rotate, whose checkpoint already made it durable. Without this a
+    // leader could fsync the fresh file forever chasing the old offset.
+    if (lsn > appended_lsn_.load(std::memory_order_acquire)) {
+      return Status::OK();
+    }
     if (!sync_in_progress_) {
       // Become the group-commit leader: one fsync covers every transaction
       // appended so far, releasing all waiters at or below `target`.
@@ -570,25 +579,15 @@ void WalWriter::FlusherLoop() {
                          std::chrono::milliseconds(options_.fsync_interval_ms));
     if (stop_flusher_.load(std::memory_order_acquire)) break;
     lock.unlock();
+    bool failed;
     {
-      std::lock_guard<std::mutex> alock(append_mu_);
-      bool failed;
-      {
-        std::lock_guard<std::mutex> elock(error_mu_);
-        failed = !io_error_.ok();
-      }
-      if (!failed) {
-        uint64_t target = appended_lsn_.load(std::memory_order_acquire);
-        Status s = file_->Sync();
-        std::lock_guard<std::mutex> slock(sync_mu_);
-        if (s.ok()) {
-          if (target > durable_lsn_) durable_lsn_ = target;
-        } else {
-          std::lock_guard<std::mutex> elock(error_mu_);
-          if (io_error_.ok()) io_error_ = s;
-        }
-      }
+      std::lock_guard<std::mutex> elock(error_mu_);
+      failed = !io_error_.ok();
     }
+    // A group-commit sync like any WaitDurable leader's: the fsync runs
+    // outside append_mu_, so commits keep appending during a slow disk
+    // flush instead of stalling once per interval.
+    if (!failed) (void)SyncTo(appended_lsn_.load(std::memory_order_acquire));
     lock.lock();
   }
 }

@@ -172,12 +172,23 @@ class WalWriter {
     return appended_lsn_.load(std::memory_order_acquire);
   }
 
+  // Log prefix known to be on disk (every fsync policy advances it; under
+  // kInterval the background flusher does).
+  uint64_t DurableLsn() {
+    std::lock_guard<std::mutex> lock(sync_mu_);
+    return durable_lsn_;
+  }
+
   const std::string& path() const { return path_; }
 
  private:
   WalWriter(std::string path, const WalOptions& options, FileSystem* fs);
 
   Status WriteHeaderLocked();
+  // Group commit: returns once bytes up to `lsn` are durable. The first
+  // caller becomes the leader and fsyncs everything appended so far
+  // outside append_mu_; later callers wait for it.
+  Status SyncTo(uint64_t lsn);
   void FlusherLoop();
 
   const std::string path_;

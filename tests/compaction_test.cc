@@ -1,9 +1,10 @@
 // Background delta-merge compaction (DESIGN.md §16): fragmentation
 // trigger selection, memory reclamation after update churn, pinned-reader
 // byte identity across the segment swap, retire-list draining, the
-// concurrent churn storm the TSan flavor runs, the storage-accounting
-// regression (grow slack and tombstones must be visible to the gauges),
-// and the service-level driver (reaper cadence + stats mirroring).
+// concurrent churn storm and the lock-free swap readers the TSan flavor
+// runs, the storage-accounting regression (update churn must be visible
+// to the gauges), and the service-level driver (reaper cadence + stats
+// mirroring).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,8 +110,8 @@ TEST(CompactionTest, TriggerSelectsOnlyFragmentedRelations) {
   EXPECT_EQ(none.relations_compacted, 0u);
   EXPECT_FALSE(g.RelationCompacted(ring.out));
 
-  // Heavy churn: overlay chains + tombstones push the reclaimable share of
-  // LINK past the threshold.
+  // Heavy churn: overlay chains push the reclaimable share of LINK past
+  // the threshold.
   for (int i = 0; i < 64; ++i) ring.Churn(i, /*fan=*/6, i, /*remove=*/true);
   g.PruneVersions();
   CompactionStats did = g.CompactRelations(opts);
@@ -257,11 +258,61 @@ TEST(CompactionTest, ConcurrentChurnStormIsRaceFree) {
   EXPECT_GT(g.compaction_runs_total(), 0u);
 }
 
-// Satellite regression: adjacency grow-on-insert slack and RemoveEdge
-// tombstones used to be invisible to MemoryBytes()/OverlayBytes(), so a
-// churned graph reported far less than its actual footprint and the
-// service GC byte-trigger never fired. Cross-check the gauge against the
-// process RSS delta while building a deliberately slack-heavy graph.
+// The compaction swap against lock-free readers, for TSan: a reader that
+// found no overlay entry or no segment reads the next level while the
+// first forced swap collapses the chains and detaches the base. Every read
+// must return the list as of the last commit (from an overlay entry, the
+// base or the segment's copy), and the lock-free MemoryBytes() poll must
+// not tear.
+TEST(CompactionTest, BaseReadersRaceFreeAcrossDetach) {
+  constexpr int kN = 64;
+  for (int round = 0; round < 20; ++round) {
+    RingGraph ring(kN);
+    Graph& g = *ring.graph;
+    // Half the vertices get an overlay entry, half keep their base list.
+    for (int i = 0; i < kN; i += 2) ring.Churn(i, /*fan=*/1, i, false);
+    std::vector<std::vector<std::pair<VertexId, int64_t>>> want;
+    for (int i = 0; i < kN; ++i) {
+      want.push_back(
+          EdgePairs(g, ring.out, ring.vertices[i], g.CurrentVersion()));
+    }
+    // More readers than cores, so some are preempted mid-lookup.
+    std::atomic<int> started{0};
+    std::atomic<bool> stop{false};
+    auto read = [&] {
+      bool first = true;
+      do {
+        SnapshotHandle pin = g.PinSnapshot();
+        for (int i = 0; i < kN; ++i) {
+          ASSERT_EQ(EdgePairs(g, ring.out, ring.vertices[i], pin.version()),
+                    want[i])
+              << "vertex " << i;
+          EXPECT_GT(g.MemoryBytes(), 0u);
+        }
+        pin.Release();
+        if (first) started.fetch_add(1, std::memory_order_release);
+        first = false;
+      } while (!stop.load(std::memory_order_acquire));
+    };
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 8; ++r) readers.emplace_back(read);
+    while (started.load(std::memory_order_acquire) < 8) {
+      std::this_thread::yield();
+    }
+    CompactionOptions opts;
+    opts.force = true;
+    g.CompactRelations(opts);
+    stop.store(true, std::memory_order_release);
+    for (auto& r : readers) r.join();
+    EXPECT_TRUE(g.RelationCompacted(ring.out));
+  }
+}
+
+// Regression: storage grown by update churn used to be invisible to
+// MemoryBytes()/OverlayBytes(), so a churned graph reported far less than
+// its actual footprint and the service GC byte-trigger never fired.
+// Cross-check the gauge against the process RSS delta while building a
+// deliberately churn-heavy graph.
 TEST(CompactionTest, MemoryGaugeTracksRssDeltaOnChurn) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizer shadow memory distorts RSS";
@@ -276,8 +327,8 @@ TEST(CompactionTest, MemoryGaugeTracksRssDeltaOnChurn) {
 
   auto ring = std::make_unique<RingGraph>(4096);
   size_t gauge_floor = ring->graph->MemoryBytes();
-  // Grow-heavy churn: every AddEdge commit lands in overlay chains and,
-  // once merged, leaves grow slack; every 4th txn leaves a tombstone.
+  // Churn: every AddEdge commit lands in overlay chains; every 4th txn of
+  // the first round also removes an edge.
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 4096; ++i) {
       ring->Churn(i, /*fan=*/4, round * 4096 + i,
@@ -291,7 +342,7 @@ TEST(CompactionTest, MemoryGaugeTracksRssDeltaOnChurn) {
 
   // Generous bounds: RSS includes allocator slop, freed-but-cached pages
   // and test scaffolding, so the gauge may undershoot — but a gauge blind
-  // to slack/tombstones undershot by an order of magnitude. It must also
+  // to churn undershot by an order of magnitude. It must also
   // never exceed what the process actually grew by.
   EXPECT_GE(gauge_delta, rss_delta / 4)
       << "gauge " << gauge_delta << " vs RSS delta " << rss_delta;

@@ -3,9 +3,13 @@
 // This catches interactions the handwritten operator tests miss.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/memory_budget.h"
 #include "common/random.h"
 #include "executor/executor.h"
 #include "queries/ldbc.h"
+#include "runtime/query_context.h"
 #include "tests/test_util.h"
 
 namespace ges {
@@ -239,10 +243,18 @@ TEST_P(FuzzPlanTest, EnginesAgreeOnRandomPlans) {
   GraphView view(&fx.graph);
   for (int i = 0; i < 3; ++i) {
     Plan plan = gen.Generate();
-    QueryResult flat = Executor(ExecMode::kFlat).Run(plan, view);
     // Bound runaway cross products: the point is breadth of shapes, not
-    // volume, and the Volcano engine is slow by design.
-    if (flat.stats.peak_intermediate_bytes > (32u << 20)) continue;
+    // volume, and the Volcano engine is slow by design. The reference run
+    // is governed by a per-query budget, so a random plan that would blow
+    // up is stopped mid-operator (kMemoryExceeded) and skipped instead of
+    // being measured after it has already eaten the machine.
+    QueryContext qctx;
+    qctx.AttachBudget(std::make_shared<MemoryBudget>(size_t{32} << 20));
+    ExecOptions flat_opts;
+    flat_opts.context = &qctx;
+    QueryResult flat = Executor(ExecMode::kFlat, flat_opts).Run(plan, view);
+    if (flat.interrupted == InterruptReason::kMemoryExceeded) continue;
+    ASSERT_EQ(flat.interrupted, InterruptReason::kNone);
     auto expected = SortedRows(flat.table);
     for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFactorized,
                           ExecMode::kFactorizedFused}) {

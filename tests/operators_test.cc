@@ -107,6 +107,23 @@ TEST_F(OperatorsTest, ExpandTwoRelationsUnion) {
   ExpectAllModes(b.Build(), {"0|", "1|"});
 }
 
+TEST_F(OperatorsTest, MixedLabelMultiRelationExpand) {
+  // IC3-shaped: a column holding vertices of two labels expands over one
+  // relation per label. Each base table only indexes its own source label,
+  // so a PERSON row must not read the MESSAGE table at its label-local
+  // offset (or vice versa). x = p1's friends {p0, p3} + its messages
+  // {m0, m1}; KNOWS applies to the persons, HAS_CREATOR to the messages.
+  PlanBuilder b("t");
+  b.NodeByIdSeek("p", tiny_.person, 1)
+      .Expand("p", "x", {tiny_.knows_out, tiny_.person_messages})
+      .Expand("x", "y", {tiny_.knows_out, tiny_.msg_creator})
+      .GetProperty("x", tiny_.id, ValueType::kInt64, "xid")
+      .GetProperty("y", tiny_.id, ValueType::kInt64, "yid")
+      .Output({"xid", "yid"});
+  ExpectAllModes(b.Build(),
+                 {"0|1|", "0|1|", "0|2|", "1|1|", "3|1|", "3|2|"});
+}
+
 TEST_F(OperatorsTest, ExpandFromVertexWithNoNeighborsDropsRow) {
   // p0 created no messages: expanding person->message yields nothing.
   PlanBuilder b("t");

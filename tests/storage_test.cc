@@ -50,13 +50,14 @@ TEST(AdjacencyTest, BulkBuildPacksPerVertex) {
   t.StageEdge(2, 0);
   t.Finalize(3);
   EXPECT_EQ(t.num_edges(), 3u);
-  AdjSpan s0 = t.Neighbors(0);
+  EXPECT_EQ(t.num_sources(), 2u);
+  AdjSpan s0 = t.csr()->NeighborsAt(0);
   ASSERT_EQ(s0.size, 2u);
   EXPECT_EQ(s0.ids[0], 1u);
   EXPECT_EQ(s0.ids[1], 2u);
-  EXPECT_EQ(t.Neighbors(1).size, 0u);
-  EXPECT_EQ(t.Neighbors(2).size, 1u);
-  EXPECT_EQ(t.Neighbors(99).size, 0u);  // out of range: empty
+  EXPECT_EQ(t.csr()->NeighborsAt(1).size, 0u);
+  EXPECT_EQ(t.csr()->NeighborsAt(2).size, 1u);
+  EXPECT_EQ(t.csr()->NeighborsAt(99).size, 0u);  // out of range: empty
 }
 
 TEST(AdjacencyTest, StampsTravelWithNeighbors) {
@@ -64,43 +65,156 @@ TEST(AdjacencyTest, StampsTravelWithNeighbors) {
   t.StageEdge(0, 5, 111);
   t.StageEdge(0, 6, 222);
   t.Finalize(1);
-  AdjSpan s = t.Neighbors(0);
+  AdjSpan s = t.csr()->NeighborsAt(0);
   ASSERT_EQ(s.size, 2u);
   ASSERT_NE(s.stamps, nullptr);
   EXPECT_EQ(s.stamps[0], 111);
   EXPECT_EQ(s.stamps[1], 222);
 }
 
-TEST(AdjacencyTest, InsertGrowsWithDoubling) {
-  AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, false);
-  t.Finalize(1);
-  for (VertexId i = 0; i < 100; ++i) t.InsertEdge(0, 1000 + i);
-  AdjSpan s = t.Neighbors(0);
+// One label N with `n` bulk vertices and a self relation E, no edges.
+struct EmptyGraph {
+  Graph g;
+  LabelId node, e;
+  RelationId out, in;
+  std::vector<VertexId> v;
+
+  explicit EmptyGraph(int n) {
+    node = g.catalog().AddVertexLabel("N");
+    e = g.catalog().AddEdgeLabel("E");
+    g.RegisterRelation(node, e, node);
+    for (int i = 0; i < n; ++i) v.push_back(g.AddVertexBulk(node, i));
+    g.FinalizeBulk();
+    out = g.FindRelation(node, e, node, Direction::kOut);
+    in = g.FindRelation(node, e, node, Direction::kIn);
+  }
+
+  void CommitEdge(VertexId src, VertexId dst) {
+    auto txn = g.BeginWrite({src, dst});
+    ASSERT_TRUE(txn->AddEdge(e, src, dst).ok());
+    ASSERT_NE(txn->Commit(), 0u);
+  }
+};
+
+// Post-load inserts go to the MVCC overlay, never into the immutable base:
+// inserts in scrambled order still read back as one sorted list.
+TEST(AdjacencyTest, OverlayInsertsKeepSortedOrder) {
+  EmptyGraph eg(101);
+  for (int i = 0; i < 100; ++i) {
+    eg.CommitEdge(eg.v[0], eg.v[1 + (i * 37) % 100]);
+  }
+  Version now = eg.g.CurrentVersion();
+  AdjSpan s = eg.g.Neighbors(eg.out, eg.v[0], now);
   ASSERT_EQ(s.size, 100u);
-  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(s.ids[i], 1000 + i);
-  EXPECT_EQ(t.num_edges(), 100u);
+  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(s.ids[i], eg.v[1 + i]);
+  EXPECT_EQ(eg.g.Degree(eg.out, eg.v[0], now), 100u);
+  for (int i = 1; i <= 100; ++i) {
+    EXPECT_EQ(eg.g.Degree(eg.in, eg.v[i], now), 1u);
+  }
+  // The bulk snapshot still sees the empty base list.
+  EXPECT_EQ(eg.g.Degree(eg.out, eg.v[0], 0), 0u);
 }
 
-TEST(AdjacencyTest, RemoveTombstones) {
-  AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, false);
-  t.StageEdge(0, 1);
-  t.StageEdge(0, 2);
-  t.Finalize(1);
-  EXPECT_TRUE(t.RemoveEdge(0, 1));
-  EXPECT_FALSE(t.RemoveEdge(0, 9));
-  AdjSpan s = t.Neighbors(0);
-  ASSERT_EQ(s.size, 2u);  // slot kept, marked
-  EXPECT_EQ(s.ids[0], kInvalidVertex);
-  EXPECT_EQ(s.ids[1], 2u);
-  EXPECT_EQ(t.Degree(0), 1u);
-  EXPECT_EQ(t.num_edges(), 1u);
+// A removal publishes a shorter, tombstone-free list; older snapshots keep
+// the edge, and removing an absent edge leaves the list unchanged.
+TEST(AdjacencyTest, OverlayRemoveDropsEdge) {
+  Graph g;
+  LabelId node = g.catalog().AddVertexLabel("N");
+  LabelId e = g.catalog().AddEdgeLabel("E");
+  g.RegisterRelation(node, e, node);
+  std::vector<VertexId> v;
+  for (int i = 0; i < 10; ++i) v.push_back(g.AddVertexBulk(node, i));
+  g.AddEdgeBulk(e, v[0], v[1]);
+  g.AddEdgeBulk(e, v[0], v[2]);
+  g.FinalizeBulk();
+  RelationId out = g.FindRelation(node, e, node, Direction::kOut);
+
+  auto txn = g.BeginWrite({v[0], v[1]});
+  ASSERT_TRUE(txn->RemoveEdge(e, v[0], v[1]).ok());
+  Version removed = txn->Commit();
+  ASSERT_NE(removed, 0u);
+  AdjSpan s = g.Neighbors(out, v[0], removed);
+  ASSERT_EQ(s.size, 1u);
+  EXPECT_EQ(s.ids[0], v[2]);
+  EXPECT_EQ(g.Degree(out, v[0], removed), 1u);
+  EXPECT_EQ(g.Degree(out, v[0], 0), 2u);
+
+  txn = g.BeginWrite({v[0], v[9]});
+  ASSERT_TRUE(txn->RemoveEdge(e, v[0], v[9]).ok());
+  Version noop = txn->Commit();
+  ASSERT_NE(noop, 0u);
+  s = g.Neighbors(out, v[0], noop);
+  ASSERT_EQ(s.size, 1u);
+  EXPECT_EQ(s.ids[0], v[2]);
 }
 
+// A vertex created after bulk load is outside every base CSR; its edges
+// live only in the overlay.
 TEST(AdjacencyTest, InsertIntoNewVertexAfterFinalize) {
-  AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, false);
-  t.Finalize(2);
-  t.InsertEdge(5, 1);  // vertex beyond the finalized range
-  EXPECT_EQ(t.Neighbors(5).size, 1u);
+  EmptyGraph eg(2);
+  auto txn = eg.g.BeginWrite({eg.v[1]});
+  VertexId fresh = txn->CreateVertex(eg.node, 5, {});
+  ASSERT_TRUE(txn->AddEdge(eg.e, fresh, eg.v[1]).ok());
+  Version now = txn->Commit();
+  ASSERT_NE(now, 0u);
+  ASSERT_GE(fresh, eg.g.bulk_vertex_count());
+  AdjSpan s = eg.g.Neighbors(eg.out, fresh, now);
+  ASSERT_EQ(s.size, 1u);
+  EXPECT_EQ(s.ids[0], eg.v[1]);
+  EXPECT_EQ(eg.g.Degree(eg.in, eg.v[1], now), 1u);
+  EXPECT_EQ(eg.g.Neighbors(eg.out, fresh, 0).size, 0u);
+}
+
+// Each base table indexes only its source label: its footprint follows
+// that label's size plus its edges, not the graph's vertex count.
+TEST(AdjacencyTest, MemoryScalesWithSourceLabelNotGraph) {
+  constexpr int kBig = 20000, kSmall = 8;
+  Graph g;
+  LabelId big = g.catalog().AddVertexLabel("BIG");
+  LabelId small = g.catalog().AddVertexLabel("SMALL");
+  LabelId ring = g.catalog().AddEdgeLabel("RING");
+  LabelId to = g.catalog().AddEdgeLabel("TO");
+  g.RegisterRelation(small, ring, small);
+  g.RegisterRelation(big, to, small);
+  std::vector<VertexId> bigs, smalls;
+  for (int i = 0; i < kBig; ++i) bigs.push_back(g.AddVertexBulk(big, i));
+  for (int i = 0; i < kSmall; ++i) smalls.push_back(g.AddVertexBulk(small, i));
+  for (int i = 0; i < kSmall; ++i) {
+    g.AddEdgeBulk(ring, smalls[i], smalls[(i + 1) % kSmall]);
+  }
+  g.AddEdgeBulk(to, bigs[0], smalls[0]);
+  g.FinalizeBulk();
+
+  // Neither label has properties, so the label-local offsets cannot come
+  // from property rows; every vertex must still find its own list.
+  for (int i = 0; i < kSmall; ++i) {
+    AdjSpan s = g.Neighbors(g.FindRelation(small, ring, small, Direction::kOut),
+                            smalls[i], 0);
+    ASSERT_EQ(s.size, 1u) << "small " << i;
+    EXPECT_EQ(s.ids[0], smalls[(i + 1) % kSmall]);
+  }
+  EXPECT_EQ(g.Degree(g.FindRelation(big, to, small, Direction::kOut), bigs[0],
+                     0),
+            1u);
+  EXPECT_EQ(g.Degree(g.FindRelation(big, to, small, Direction::kOut), bigs[1],
+                     0),
+            0u);
+
+  // (|source label| + 1) u32 offsets plus one neighbor id per edge.
+  auto csr_bytes = [](size_t sources, size_t edges) {
+    return (sources + 1) * sizeof(uint32_t) + edges * sizeof(VertexId);
+  };
+  for (Direction d : {Direction::kOut, Direction::kIn}) {
+    EXPECT_EQ(g.RelationMemoryBytes(g.FindRelation(small, ring, small, d)),
+              csr_bytes(kSmall, kSmall));
+  }
+  // BIG -> SMALL: the OUT table is indexed by BIG, the IN table by SMALL.
+  EXPECT_EQ(g.RelationMemoryBytes(
+                g.FindRelation(big, to, small, Direction::kOut)),
+            csr_bytes(kBig, 1));
+  EXPECT_EQ(g.RelationMemoryBytes(
+                g.FindRelation(small, to, big, Direction::kIn)),
+            csr_bytes(kSmall, 1));
 }
 
 TEST(PropertyTableTest, AppendAndAccess) {
@@ -172,6 +286,29 @@ TEST(GraphTest, EdgeCountReportsLogicalEdges) {
   testutil::TinyGraph tiny;
   // 6 has_creator + 8 knows (4 symmetric pairs) = 14 logical edges.
   EXPECT_EQ(tiny.graph->NumEdgesTotal(), 14u);
+}
+
+// The label check in the base lookup: a vertex of another label has the
+// same dense offset as some source-label vertex, and must not read its list;
+// a post-bulk vertex has no offset at all.
+TEST(GraphTest, BaseNeighborsEmptyForOtherLabelAndNewVertex) {
+  testutil::TinyGraph tiny;
+  Graph& g = *tiny.graph;
+  // messages[0] sits at offset 0 of MESSAGE, like persons[0] of PERSON,
+  // and persons[0] has KNOWS edges; messages[1] created nothing.
+  ASSERT_GT(g.Neighbors(tiny.knows_out, tiny.persons[0], 0).size, 0u);
+  EXPECT_EQ(g.Neighbors(tiny.knows_out, tiny.messages[0], 0).size, 0u);
+  EXPECT_EQ(g.Degree(tiny.knows_out, tiny.messages[0], 0), 0u);
+  ASSERT_GT(g.Neighbors(tiny.msg_creator, tiny.messages[1], 0).size, 0u);
+  EXPECT_EQ(g.Neighbors(tiny.msg_creator, tiny.persons[1], 0).size, 0u);
+
+  auto txn = g.BeginWrite({});
+  VertexId fresh = txn->CreateVertex(tiny.person, 100, {});
+  Version now = txn->Commit();
+  ASSERT_NE(now, 0u);
+  EXPECT_EQ(g.Neighbors(tiny.knows_out, fresh, now).size, 0u);
+  EXPECT_EQ(g.Degree(tiny.knows_out, fresh, now), 0u);
+  EXPECT_EQ(g.Neighbors(tiny.msg_creator, fresh, now).size, 0u);
 }
 
 TEST(GraphTest, MemoryAccountingNonZero) {

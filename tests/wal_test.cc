@@ -3,11 +3,13 @@
 // short writes latching read-only mode), checkpointing and fsync policies.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -204,6 +206,69 @@ TEST(WalWriterTest, ResumesAfterReopen) {
   WalScanResult scan;
   ASSERT_TRUE(ScanWal(WalPath(dir.path()), FileSystem::Default(), &scan).ok());
   EXPECT_EQ(scan.committed.size(), 2u);
+}
+
+// Under fsync=interval the flusher is a group-commit leader like any
+// WaitDurable caller: its fsync runs outside the append lock, so a commit
+// issued during a slow flush appends without waiting for the disk.
+TEST(WalWriterTest, SlowIntervalFsyncDoesNotBlockAppends) {
+  TempDir dir;
+  FaultFS fs;
+  WalOptions opts;
+  opts.fsync_policy = FsyncPolicy::kInterval;
+  opts.fsync_interval_ms = 2;
+  std::unique_ptr<WalWriter> writer;
+  ASSERT_TRUE(WalWriter::Open(WalPath(dir.path()), opts, &fs, &writer).ok());
+  // Op 1 is the append below; op 2 is the flusher's fsync covering it
+  // (an idle flusher issues none).
+  constexpr int kDelayMs = 800;
+  fs.Arm(2, FaultFS::FaultKind::kDelay, kDelayMs);
+  uint64_t first = 0;
+  ASSERT_TRUE(writer->AppendTxn(SimpleTxn(1), &first).ok());
+  auto wait_until = [](const auto& done) {
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  ASSERT_TRUE(wait_until([&] { return fs.faults_fired() == 1; }));
+
+  // The flusher is now inside its slow fsync.
+  auto start = std::chrono::steady_clock::now();
+  uint64_t second = 0;
+  ASSERT_TRUE(writer->AppendTxn(SimpleTxn(2), &second).ok());
+  ASSERT_TRUE(writer->WaitDurable(second).ok());
+  auto append_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_LT(append_ms, kDelayMs / 2);
+  EXPECT_LT(writer->DurableLsn(), second);
+
+  // The slow fsync still completes and advances the durable prefix; the
+  // next interval covers the second transaction.
+  EXPECT_TRUE(wait_until([&] { return writer->DurableLsn() >= second; }));
+  EXPECT_GE(writer->DurableLsn(), first);
+}
+
+// An lsn issued before a Rotate is covered by the checkpoint that drove the
+// rotation: waiting on it afterwards returns instead of chasing an offset
+// the fresh log has not reached.
+TEST(WalWriterTest, WaitOnPreRotateLsnReturns) {
+  TempDir dir;
+  WalOptions opts;  // fsync=always: WaitDurable runs the group commit
+  std::unique_ptr<WalWriter> writer;
+  ASSERT_TRUE(WalWriter::Open(WalPath(dir.path()), opts,
+                              FileSystem::Default(), &writer)
+                  .ok());
+  uint64_t lsn = 0;
+  for (uint64_t t = 1; t <= 3; ++t) {
+    ASSERT_TRUE(writer->AppendTxn(SimpleTxn(t), &lsn).ok());
+  }
+  ASSERT_TRUE(writer->Rotate().ok());
+  ASSERT_LT(writer->SizeBytes(), lsn);
+  EXPECT_TRUE(writer->WaitDurable(lsn).ok());
 }
 
 TEST(WalScanTest, MissingFileIsEmpty) {
