@@ -69,7 +69,7 @@ SoakGraph MakeSoakGraph() {
   return s;
 }
 
-// Sorted (id, stamp) neighbor multiset, tombstone-pruned.
+// Sorted (id, stamp) neighbor multiset.
 std::vector<std::pair<VertexId, int64_t>> EdgePairs(const Graph& g,
                                                     RelationId rel,
                                                     VertexId v, Version s) {
@@ -77,7 +77,6 @@ std::vector<std::pair<VertexId, int64_t>> EdgePairs(const Graph& g,
   AdjSpan span = g.Neighbors(rel, v, s, &scratch);
   std::vector<std::pair<VertexId, int64_t>> out;
   for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] == kInvalidVertex) continue;
     out.emplace_back(span.ids[i], span.stamps ? span.stamps[i] : 0);
   }
   std::sort(out.begin(), out.end());

@@ -40,7 +40,6 @@ PageRankResult PageRank(const GraphView& view, LabelId label,
     for (RelationId rel : out_rels) {
       AdjSpan span = view.Neighbors(rel, dense.vertices[i], &adj);
       for (uint32_t k = 0; k < span.size; ++k) {
-        if (span.ids[k] == kInvalidVertex) continue;
         if (dense.index.count(span.ids[k]) != 0) ++out_degree[i];
       }
     }
@@ -156,7 +155,7 @@ uint64_t CountTriangles(const GraphView& view, LabelId label,
 
 namespace {
 
-// Number of common ids of two sorted (kInvalidVertex-free) lists starting
+// Number of common ids of two sorted lists starting
 // at positions a/b, restricted to members of `index` — a two-list leapfrog
 // with galloping cursors. Duplicates (parallel edges) count once.
 uint64_t IntersectCount(const AdjSpan& su, uint32_t a, const AdjSpan& sv,
@@ -251,7 +250,6 @@ uint64_t CountFourCycles(const GraphView& view, LabelId label,
     AdjSpan span = view.Neighbors(symmetric_rel, dense.vertices[i], &adj);
     nbrs.clear();
     for (uint32_t k = 0; k < span.size; ++k) {
-      if (span.ids[k] == kInvalidVertex) continue;
       auto it = dense.index.find(span.ids[k]);
       if (it != dense.index.end()) nbrs.push_back(it->second);
     }
@@ -287,7 +285,7 @@ std::unordered_map<VertexId, int> BfsDistances(
       AdjSpan span = view.Neighbors(rel, u, &adj);
       for (uint32_t k = 0; k < span.size; ++k) {
         VertexId w = span.ids[k];
-        if (w == kInvalidVertex || dist.count(w) != 0) continue;
+        if (dist.count(w) != 0) continue;
         dist[w] = d + 1;
         queue.push_back(w);
       }
@@ -301,13 +299,8 @@ std::vector<uint64_t> DegreeHistogram(const GraphView& view, LabelId label,
   std::vector<VertexId> vertices;
   view.ScanLabel(label, &vertices);
   std::vector<uint64_t> histogram;
-  AdjScratch adj;
   for (VertexId v : vertices) {
-    AdjSpan span = view.Neighbors(rel, v, &adj);
-    uint32_t degree = 0;
-    for (uint32_t k = 0; k < span.size; ++k) {
-      if (span.ids[k] != kInvalidVertex) ++degree;
-    }
+    const uint32_t degree = view.Degree(rel, v);
     if (histogram.size() <= degree) histogram.resize(degree + 1, 0);
     ++histogram[degree];
   }

@@ -78,7 +78,7 @@ std::unordered_map<VertexId, int> BfsDistances(
     VertexId source, int max_depth = -1);
 
 // Degree distribution of `rel` over `label`: histogram[d] = #vertices with
-// degree d (tombstones excluded), truncated at the maximum degree.
+// degree d, truncated at the maximum degree.
 std::vector<uint64_t> DegreeHistogram(const GraphView& view, LabelId label,
                                       RelationId rel);
 

@@ -47,7 +47,6 @@ void BfsCollect(const GraphView& view, const std::vector<RelationId>& rels,
         AdjSpan span = view.Neighbors(rel, v, adj);
         for (uint32_t i = 0; i < span.size; ++i) {
           VertexId id = span.ids[i];
-          if (id == kInvalidVertex) continue;
           if (!visited.insert(id).second) continue;
           next.push_back(id);
           if (d >= min_hops) {
@@ -79,7 +78,6 @@ void CollectNeighbors(const GraphView& view,
       AdjSpan span = view.Neighbors(rel, src, adj);
       for (uint32_t i = 0; i < span.size; ++i) {
         VertexId id = span.ids[i];
-        if (id == kInvalidVertex) continue;
         if (exclude_start && id == src) continue;
         out->emplace_back(id, 1);
         if (stamps != nullptr) {

@@ -94,7 +94,6 @@ class IntersectExpandRunner {
       prober_.BeginDriverList();
       for (uint32_t i = 0; i < span.size; ++i) {
         VertexId w = span.ids[i];
-        if (w == kInvalidVertex) continue;
         if (!prober_.Matches(w, stats)) continue;
         if (stats != nullptr) ++stats->emitted;
         emit(w);

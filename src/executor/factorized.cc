@@ -152,7 +152,6 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
     for (size_t r = 0; r < rows; ++r) {
       if (!src->RowValid(r)) continue;
       VertexId v = src->block.GetValue(r, src_col).AsVertex();
-      if (v == kInvalidVertex) continue;
       uint64_t begin = off;
       for (RelationId rel : op.rels) {
         AdjSpan span = view.Neighbors(rel, v, &adj);
@@ -235,13 +234,11 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
         // vertices can run for milliseconds, far past the per-morsel poll.
         tracker.Update(part_bytes(part));
         ThrowIfInterrupted(options.context);
-        VertexId v = src->RowValid(r)
-                         ? src->block.GetValue(r, src_col).AsVertex()
-                         : kInvalidVertex;
-        if (v == kInvalidVertex) {
+        if (!src->RowValid(r)) {
           part.counts.push_back(0);
           continue;
         }
+        const VertexId v = src->block.GetValue(r, src_col).AsVertex();
         nbrs.clear();
         st.clear();
         CollectNeighbors(view, op.rels, v, op.min_hops, op.max_hops,
@@ -385,20 +382,15 @@ bool TryFactIntersectExpand(FactState* state, const PlanOp& op,
       // Per-row checkpoint: a high-degree driver can gallop for a while.
       tracker.Update(part_bytes(part));
       ThrowIfInterrupted(options.context);
-      VertexId v = src->RowValid(r)
-                       ? src->block.GetValue(r, src_col).AsVertex()
-                       : kInvalidVertex;
-      bool ok = v != kInvalidVertex;
-      for (size_t c = 0; ok && c < probes.size(); ++c) {
-        const Probe& p = probes[c];
-        uint64_t pr = p.row_map.empty() ? r : p.row_map[r];
-        VertexId u = p.node->block.GetValue(pr, p.col).AsVertex();
-        if (u == kInvalidVertex) ok = false;
-        probe_vals[c] = u;
-      }
-      if (!ok) {
+      if (!src->RowValid(r)) {
         part.counts.push_back(0);
         continue;
+      }
+      const VertexId v = src->block.GetValue(r, src_col).AsVertex();
+      for (size_t c = 0; c < probes.size(); ++c) {
+        const Probe& p = probes[c];
+        uint64_t pr = p.row_map.empty() ? r : p.row_map[r];
+        probe_vals[c] = p.node->block.GetValue(pr, p.col).AsVertex();
       }
       uint32_t n = 0;
       runner.Run(view, v, probe_vals.data(), &part.stats, [&](VertexId w) {
@@ -481,13 +473,10 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
       }
       if (!src->RowValid(r)) continue;
       VertexId v = src->block.GetValue(r, src_col).AsVertex();
-      if (v == kInvalidVertex) continue;
       uint64_t begin = cand.size();
       for (RelationId rel : op.rels) {
         AdjSpan span = view.Neighbors(rel, v, &adj);
-        for (uint32_t i = 0; i < span.size; ++i) {
-          if (span.ids[i] != kInvalidVertex) cand.push_back(span.ids[i]);
-        }
+        cand.insert(cand.end(), span.ids, span.ids + span.size);
       }
       cand_range[r] = IndexRange{begin, cand.size()};
     }
@@ -543,13 +532,11 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
       if ((r & 255u) == 0) ThrowIfInterrupted(options.context);
       if (!src->RowValid(r)) continue;
       VertexId v = src->block.GetValue(r, src_col).AsVertex();
-      if (v == kInvalidVertex) continue;
       uint64_t begin = off;
       for (RelationId rel : op.rels) {
         AdjSpan span = view.Neighbors(rel, v, &adj);
         for (uint32_t i = 0; i < span.size; ++i) {
           VertexId id = span.ids[i];
-          if (id == kInvalidVertex) continue;
           Value pv = view.Property(id, op.property);
           if (!pred.Eval([&pv](int) -> Value { return pv; }).AsBool()) {
             continue;
@@ -580,8 +567,8 @@ void FactGetProperty(FactState* state, const PlanOp& op,
   size_t rows = node->block.NumRows();
   ValueVector out(op.property_type);
   out.Reserve(rows);
-  // Invalid/tombstone rows receive a placeholder to keep row alignment
-  // (they are never enumerated).
+  // Deselected rows receive a placeholder to keep row alignment (they are
+  // never enumerated).
   if (options.vector_kernels) {
     // Batched gather: the MVCC overlay and the string dictionary are
     // resolved once per batch, base columns are copied slice-wise
@@ -607,7 +594,7 @@ void FactGetProperty(FactState* state, const PlanOp& op,
     }
   } else if (col == 0) {
     node->block.ForEachVertex([&](uint64_t row, VertexId v) {
-      if (v == kInvalidVertex || !node->RowValid(row)) {
+      if (!node->RowValid(row)) {
         out.AppendValue(Value::Null());
       } else {
         out.AppendValue(view.Property(v, op.property));
@@ -620,8 +607,7 @@ void FactGetProperty(FactState* state, const PlanOp& op,
         continue;
       }
       VertexId v = node->block.GetValue(r, col).AsVertex();
-      out.AppendValue(v == kInvalidVertex ? Value::Null()
-                                          : view.Property(v, op.property));
+      out.AppendValue(view.Property(v, op.property));
     }
   }
   node->block.AppendAlignedColumn(op.out_column, std::move(out));

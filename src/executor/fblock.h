@@ -54,8 +54,7 @@ class FBlock {
   // --- construction: lazy vertex column ---
   // Initializes this block as a lazy single-column block named `name`.
   // Segments are appended with AppendSegment; logical rows are the
-  // concatenation of all segment entries (tombstones must be pre-filtered
-  // by the caller or tolerated downstream).
+  // concatenation of all segment entries.
   void InitLazy(const std::string& name) {
     lazy_ = true;
     schema_.Add(name, ValueType::kVertex);
@@ -125,8 +124,7 @@ class FBlock {
   void Materialize();
 
   // Iterates logical rows sequentially, calling fn(row, vertex_id) —
-  // avoids per-row binary search on lazy blocks. Skips tombstones is NOT
-  // done here; tombstoned ids are passed through as kInvalidVertex.
+  // avoids per-row binary search on lazy blocks.
   template <typename Fn>
   void ForEachVertex(Fn&& fn) const {
     if (!lazy_) {

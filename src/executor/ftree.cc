@@ -57,16 +57,6 @@ std::vector<FTreeNode*> FTree::PreorderMutable() {
 
 namespace {
 
-// Is row `row` of `node` usable at all (selection + tombstone check)?
-inline bool RowUsable(const FTreeNode* node, uint64_t row) {
-  if (!node->RowValid(row)) return false;
-  const FBlock& b = node->block;
-  if (b.schema().size() > 0 && b.schema()[0].type == ValueType::kVertex) {
-    return b.VertexAt(row) != kInvalidVertex;
-  }
-  return true;
-}
-
 // down[row] for `node`: number of valid subtree combinations rooted at this
 // row. Fills `down` (size = rows) and `cum` (size = rows + 1, prefix sums).
 void ComputeDown(
@@ -79,7 +69,7 @@ void ComputeDown(
   size_t rows = node->block.NumRows();
   std::vector<uint64_t> down(rows, 0);
   for (size_t r = 0; r < rows; ++r) {
-    if (!RowUsable(node, r)) continue;
+    if (!node->RowValid(r)) continue;
     uint64_t prod = 1;
     for (const auto& c : node->children) {
       const std::vector<uint64_t>& ccum = (*cum_map)[c.get()];
@@ -121,7 +111,7 @@ std::vector<uint64_t> FTree::TupleCountsForNode(
       std::vector<uint64_t> cu(c->block.NumRows(), 0);
       size_t rows = node->block.NumRows();
       for (size_t r = 0; r < rows; ++r) {
-        if (!RowUsable(node, r) || node_up[r] == 0) continue;
+        if (!node->RowValid(r) || node_up[r] == 0) continue;
         // Product over siblings of c.
         uint64_t w = node_up[r];
         for (const auto& s : node->children) {
@@ -340,7 +330,7 @@ uint64_t TupleEnumerator::FindValid(size_t i, uint64_t from) const {
   const FTreeNode* node = nodes_[i];
   uint64_t lo = from < begin_[i] ? begin_[i] : from;
   for (uint64_t r = lo; r < end_[i]; ++r) {
-    if (RowUsable(node, r)) return r;
+    if (node->RowValid(r)) return r;
   }
   return kNone;
 }

@@ -121,8 +121,8 @@ class FTree {
 // Constant-delay enumeration over an FTree. Usage:
 //   TupleEnumerator e(tree);
 //   while (e.Next()) { uint64_t r = e.RowOf(node); ... }
-// Rows with sel == 0, rows whose leading vertex is a tombstone, and parent
-// rows whose child ranges are empty are all skipped.
+// Rows with sel == 0 and parent rows whose child ranges are empty are
+// skipped.
 class TupleEnumerator {
  public:
   explicit TupleEnumerator(const FTree& tree);

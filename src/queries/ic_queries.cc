@@ -267,7 +267,7 @@ int BfsDistance(const GraphView& view, RelationId knows, VertexId a,
     AdjSpan span = view.Neighbors(knows, v, &adj);
     for (uint32_t i = 0; i < span.size; ++i) {
       VertexId w = span.ids[i];
-      if (w == kInvalidVertex || parent.count(w) != 0) continue;
+      if (parent.count(w) != 0) continue;
       parent[w] = v;
       if (w == b) {
         if (parents_out != nullptr) {
@@ -340,7 +340,6 @@ Plan IC14(const LdbcContext& c, const LdbcParams& p) {
       AdjSpan span = view.Neighbors(ctx.knows, v, &adj);
       for (uint32_t i = 0; i < span.size; ++i) {
         VertexId w = span.ids[i];
-        if (w == kInvalidVertex) continue;
         auto it = dist.find(w);
         if (it == dist.end()) {
           dist[w] = d + 1;
@@ -389,11 +388,9 @@ Plan IC14(const LdbcContext& c, const LdbcParams& p) {
             view.Neighbors(ctx.person_comments, x, &adj_comments);
         for (uint32_t i = 0; i < comments.size; ++i) {
           VertexId cmt = comments.ids[i];
-          if (cmt == kInvalidVertex) continue;
           AdjSpan rp =
               view.Neighbors(ctx.comment_reply_of_post, cmt, &adj_reply);
           for (uint32_t j = 0; j < rp.size; ++j) {
-            if (rp.ids[j] == kInvalidVertex) continue;
             AdjSpan creator =
                 view.Neighbors(ctx.post_has_creator, rp.ids[j], &adj_creator);
             for (uint32_t k = 0; k < creator.size; ++k) {
@@ -403,7 +400,6 @@ Plan IC14(const LdbcContext& c, const LdbcParams& p) {
           AdjSpan rc =
               view.Neighbors(ctx.comment_reply_of_comment, cmt, &adj_reply);
           for (uint32_t j = 0; j < rc.size; ++j) {
-            if (rc.ids[j] == kInvalidVertex) continue;
             AdjSpan creator = view.Neighbors(ctx.comment_has_creator,
                                              rc.ids[j], &adj_creator);
             for (uint32_t k = 0; k < creator.size; ++k) {

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace ges {
 
@@ -72,7 +73,24 @@ void CompressedSegment::Builder::Add(const VertexId* ids,
     num_edges_ += n;
     ++num_sources_;
   }
-  offsets_.push_back(blob_.size());
+  // Byte offsets are u32: fail loudly rather than let them wrap and
+  // corrupt every later lookup.
+  if (blob_.size() > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr,
+                 "CompressedSegment::Builder: %zu encoded bytes exceed the "
+                 "u32 offset range\n",
+                 blob_.size());
+    std::abort();
+  }
+  offsets_.push_back(static_cast<uint32_t>(blob_.size()));
+}
+
+void CompressedSegment::Builder::AddTail(VertexId v, const VertexId* ids,
+                                         const int64_t* stamps, uint32_t n) {
+  if (n == 0) return;
+  assert(tail_.empty() || tail_.back() < v);
+  tail_.push_back(v);
+  Add(ids, stamps, n);
 }
 
 std::shared_ptr<const CompressedSegment> CompressedSegment::Builder::Build(
@@ -86,25 +104,42 @@ std::shared_ptr<const CompressedSegment> CompressedSegment::Builder::Build(
   seg->offsets_.shrink_to_fit();
   seg->degrees_ = std::move(degrees_);
   seg->degrees_.shrink_to_fit();
+  seg->tail_ = std::move(tail_);
+  seg->tail_.shrink_to_fit();
+  const std::vector<VertexId>& tail = seg->tail_;
+  if (!tail.empty()) {
+    // About four tail ids per bucket: the directory costs ~1 B per tail
+    // vertex.
+    const uint64_t span = tail.back() - tail.front();
+    while ((span >> seg->tail_shift_) > tail.size() / 4) ++seg->tail_shift_;
+    const size_t buckets = (span >> seg->tail_shift_) + 1;
+    seg->tail_dir_.resize(buckets + 1);
+    size_t p = 0;
+    for (size_t b = 0; b <= buckets; ++b) {
+      const VertexId start = tail.front() + (VertexId{b} << seg->tail_shift_);
+      while (p < tail.size() && tail[p] < start) ++p;
+      seg->tail_dir_[b] = static_cast<uint32_t>(p);
+    }
+  }
   seg->num_edges_ = num_edges_;
   seg->num_sources_ = num_sources_;
   return seg;
 }
 
-AdjSpan CompressedSegment::Decode(VertexId v, AdjScratch* scratch) const {
-  if (v >= degrees_.size() || degrees_[v] == 0) return AdjSpan{};
+AdjSpan CompressedSegment::Decode(uint32_t slot, AdjScratch* scratch) const {
+  const uint32_t n = DegreeAt(slot);
+  if (n == 0) return AdjSpan{};
   if (scratch == nullptr) {
     // Every production read path threads an AdjScratch; reaching a decode
     // without one means a call site was missed — fail loudly rather than
     // silently dropping edges.
     std::fprintf(stderr,
                  "CompressedSegment::Decode: null scratch on compacted "
-                 "relation (vertex %llu)\n",
-                 static_cast<unsigned long long>(v));
+                 "relation (slot %u)\n",
+                 slot);
     std::abort();
   }
-  const uint32_t n = degrees_[v];
-  const uint8_t* p = blob_.data() + offsets_[v];
+  const uint8_t* p = blob_.data() + offsets_[slot];
   scratch->ids.resize(n);
   VertexId id = static_cast<VertexId>(GetVarint(p));
   scratch->ids[0] = id;
@@ -128,7 +163,7 @@ AdjSpan CompressedSegment::Decode(VertexId v, AdjScratch* scratch) const {
     }
     stamps = scratch->stamps.data();
   }
-  assert(p <= blob_.data() + offsets_[v + 1]);
+  assert(p <= blob_.data() + offsets_[slot + 1]);
   return AdjSpan{scratch->ids.data(), stamps, n};
 }
 

@@ -285,7 +285,6 @@ Status ExportEdgesCsv(const Graph& graph, LabelId edge_label,
     AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
     int64_t src_ext = graph.GetProperty(v, id_prop, snap).AsInt();
     for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] == kInvalidVertex) continue;  // tombstone
       out << src_ext << options.delimiter
           << graph.GetProperty(span.ids[i], id_prop, snap).AsInt();
       if (has_stamp) {

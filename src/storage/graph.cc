@@ -122,7 +122,7 @@ uint32_t Graph::Degree(RelationId rel, VertexId v, Version snapshot) const {
   // precomputed — no decode needed.
   const AdjacencyTable::Csr* base = t.table->csr();
   const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
-  if (seg != nullptr && seg->Covers(v)) return seg->DegreeOf(v);
+  if (seg != nullptr) return seg->DegreeAt(SegmentSlot(*t.table, *seg, v));
   return BaseNeighbors(*t.table, base, v).size;
 }
 
@@ -350,10 +350,6 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
   const Version cut = pin.version();
   stats.cut = cut;
 
-  // Vertices created after this load are beyond the segment's coverage and
-  // keep resolving through overlays (their entries are all > cut).
-  const size_t num_vertices = NumVerticesTotal();
-
   AdjScratch decode_scratch;
   for (RelationId rel = 0; rel < tables_.size(); ++rel) {
     TableEntry& t = tables_[rel];
@@ -391,28 +387,39 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
     const LabelId src_label = t.table->key().src_label;
     // Only this pass detaches the base, so one load serves the loop.
     const AdjacencyTable::Csr* base = t.table->csr();
-    CompressedSegment::Builder builder(has_stamp);
-    for (VertexId v = 0; v < num_vertices; ++v) {
-      // Edges of a relation hang only off its source label (writes resolve
-      // the relation from the vertex's label), so a bulk vertex of another
-      // label gets an empty list without probing the overlay.
-      if (v < bulk_vertex_count_ && slot_of_[v].label != src_label) {
-        builder.Add(nullptr, nullptr, 0);
-        continue;
-      }
-      AdjSpan span;
+    // The list of `v` as of the cut: its overlay entry <= cut, else the
+    // old segment's or the base CSR's copy.
+    auto list_at_cut = [&](VertexId v) {
       const AdjOverlayEntry* e =
           t.overlay->empty() ? nullptr : t.overlay->Find(v, cut);
       if (e != nullptr) {
-        span = AdjSpan{e->ids.data(),
-                       has_stamp ? e->stamps.data() : nullptr,
+        return AdjSpan{e->ids.data(), has_stamp ? e->stamps.data() : nullptr,
                        static_cast<uint32_t>(e->ids.size())};
-      } else if (old_seg != nullptr && old_seg->Covers(v)) {
-        span = old_seg->Decode(v, &decode_scratch);
-      } else {
-        span = BaseNeighbors(*t.table, base, v);
       }
-      builder.Add(span.ids, span.stamps, span.size);
+      if (old_seg != nullptr) {
+        return old_seg->Decode(SegmentSlot(*t.table, *old_seg, v),
+                               &decode_scratch);
+      }
+      return BaseNeighbors(*t.table, base, v);
+    };
+    // Edges of a relation hang only off its source label (writes resolve
+    // the relation from the vertex's label), so the segment walks just that
+    // label: its bulk vertices in offset order, then the post-bulk ones
+    // visible at the cut by id. Vertices created later resolve through
+    // overlays (their entries are all > cut).
+    CompressedSegment::Builder builder(has_stamp);
+    if (src_label < bulk_by_label_.size()) {
+      for (VertexId v : bulk_by_label_[src_label]) {
+        const AdjSpan span = list_at_cut(v);
+        builder.Add(span.ids, span.stamps, span.size);
+      }
+    }
+    std::vector<VertexId> tail;
+    new_vertices_.CollectVisible(src_label, cut, &tail);
+    std::sort(tail.begin(), tail.end());
+    for (VertexId v : tail) {
+      const AdjSpan span = list_at_cut(v);
+      builder.AddTail(v, span.ids, span.stamps, span.size);
     }
     std::shared_ptr<const CompressedSegment> seg = builder.Build(cut);
 
@@ -741,8 +748,10 @@ Status WriteTxn::Commit(Version* commit_version) {
         seed = AdjSpan{head->ids.data(),
                        has_stamp ? head->stamps.data() : nullptr,
                        static_cast<uint32_t>(head->ids.size())};
-      } else if (seg != nullptr && seg->Covers(first.vertex)) {
-        seed = seg->Decode(first.vertex, &scratch);
+      } else if (seg != nullptr) {
+        seed = seg->Decode(graph_->SegmentSlot(*entry.table, *seg,
+                                               first.vertex),
+                           &scratch);
       } else {
         seed = graph_->BaseNeighbors(*entry.table, entry.table->csr(),
                                      first.vertex);

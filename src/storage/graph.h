@@ -328,8 +328,9 @@ class Graph {
   // (base CSR, overlay entry, compressed segment) yields a sorted span.
   //
   // Resolution order: overlay chain, then the installed compressed segment
-  // (DESIGN.md §16), then the base CSR (empty for a vertex outside the
-  // relation's source label and for vertices created after bulk load).
+  // (DESIGN.md §16), then the base CSR. Segment and base both answer only
+  // the relation's source label (any other vertex reads empty); the base
+  // holds no post-bulk vertex, a segment those with a list at its cut.
   // Decoding a segment materializes into `scratch`, so the returned span is
   // only valid until the scratch is reused; call sites that can observe a
   // compacted relation must pass one (a decode with a null scratch aborts
@@ -351,7 +352,9 @@ class Graph {
     // holds the base, which the retire list keeps alive while it is pinned.
     const AdjacencyTable::Csr* base = t.table->csr();
     const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
-    if (seg != nullptr && seg->Covers(v)) return seg->Decode(v, scratch);
+    if (seg != nullptr) {
+      return seg->Decode(SegmentSlot(*t.table, *seg, v), scratch);
+    }
     return BaseNeighbors(*t.table, base, v);
   }
 
@@ -449,6 +452,18 @@ class Graph {
     const BulkSlot slot = slot_of_[v];
     if (slot.label != table.key().src_label) return AdjSpan{};
     return base->NeighborsAt(slot.offset);
+  }
+
+  // Slot of `v` in `table`'s installed segment `seg`: a bulk vertex of the
+  // source label sits at its label offset, a post-bulk vertex in the
+  // segment's tail; anything else (another label, or no list at the cut)
+  // is kNoSlot, which decodes as an empty list.
+  uint32_t SegmentSlot(const AdjacencyTable& table,
+                       const CompressedSegment& seg, VertexId v) const {
+    if (v >= bulk_vertex_count_) return seg.TailSlot(v);
+    const BulkSlot slot = slot_of_[v];
+    return slot.label == table.key().src_label ? slot.offset
+                                               : CompressedSegment::kNoSlot;
   }
 
   struct TableEntry {

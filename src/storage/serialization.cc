@@ -277,20 +277,13 @@ void WriteEdgeSection(std::ostream& out, const Graph& graph,
   std::vector<VertexId> sources;
   AdjScratch adj;
   graph.ScanLabel(r.key.src_label, snap, &sources);
-  // Count live edges first (tombstones are dropped by the snapshot).
   uint64_t count = 0;
-  for (VertexId v : sources) {
-    AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
-    for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] != kInvalidVertex) ++count;
-    }
-  }
+  for (VertexId v : sources) count += graph.Degree(rel, v, snap);
   WriteU64(out, count);
   for (VertexId v : sources) {
     AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
     int64_t src_ext = graph.ExtIdOf(v, snap);
     for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] == kInvalidVertex) continue;
       WriteI64(out, src_ext);
       WriteI64(out, graph.ExtIdOf(span.ids[i], snap));
       if (r.has_stamp) {
@@ -320,13 +313,7 @@ void WriteEdgeSectionV4(std::ostream& out, const Graph& graph,
   graph.ScanLabel(r.key.src_label, snap, &sources);
   uint64_t num_sources = 0;
   for (VertexId v : sources) {
-    AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
-    for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] != kInvalidVertex) {
-        ++num_sources;
-        break;
-      }
-    }
+    if (graph.Degree(rel, v, snap) > 0) ++num_sources;
   }
   WriteVarint(out, num_sources);
   std::vector<std::pair<int64_t, int64_t>> dsts;  // (dst_ext, stamp)
@@ -334,7 +321,6 @@ void WriteEdgeSectionV4(std::ostream& out, const Graph& graph,
     AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
     dsts.clear();
     for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] == kInvalidVertex) continue;
       dsts.emplace_back(graph.ExtIdOf(span.ids[i], snap),
                         span.stamps == nullptr ? 0 : span.stamps[i]);
     }

@@ -82,7 +82,7 @@ enum class WalRecordType : uint8_t {
   kBeginTx = 1,
   kInsertVertex = 2,
   kInsertEdge = 3,
-  kDeleteTombstone = 4,  // edge removal (tombstone in the overlay)
+  kDeleteTombstone = 4,  // edge removal
   kSetProperty = 5,
   kCommitTx = 6,
 };

@@ -131,11 +131,8 @@ TEST(MvccPropertyTest, DegreeHistoryPerSnapshot) {
     if (remove) {
       // Pick an existing neighbor from the latest snapshot, then remove it.
       AdjSpan span = g.Neighbors(rel, v[0], g.CurrentVersion());
-      VertexId target = kInvalidVertex;
-      for (uint32_t i = 0; i < span.size; ++i) {
-        if (span.ids[i] != kInvalidVertex) target = span.ids[i];
-      }
-      ASSERT_NE(target, kInvalidVertex);
+      ASSERT_GT(span.size, 0u);
+      const VertexId target = span.ids[span.size - 1];
       auto txn = g.BeginWrite({v[0], target});
       ASSERT_TRUE(txn->RemoveEdge(e, v[0], target).ok());
       txn->Commit();

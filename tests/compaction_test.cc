@@ -72,9 +72,27 @@ struct RingGraph {
     }
     ASSERT_NE(txn->Commit(), 0u);
   }
+
+  // One committed transaction creating PERSON `ext` (post-bulk) with LINK
+  // edges to and from `fan` ring vertices; returns the new vertex.
+  VertexId AddVertex(int64_t ext, int fan) {
+    int n = static_cast<int>(vertices.size());
+    std::vector<VertexId> ring_ends;
+    for (int f = 0; f < fan; ++f) {
+      ring_ends.push_back(vertices[(ext * 7 + f) % n]);
+    }
+    auto txn = graph->BeginWrite(ring_ends);
+    VertexId v = txn->CreateVertex(person, ext, {});
+    for (VertexId w : ring_ends) {
+      EXPECT_TRUE(txn->AddEdge(link, v, w, ext).ok());
+      EXPECT_TRUE(txn->AddEdge(link, w, v, -ext).ok());
+    }
+    EXPECT_NE(txn->Commit(), 0u);
+    return v;
+  }
 };
 
-// Neighbor multiset of `v` as sorted (id, stamp) pairs, tombstone-pruned.
+// Neighbor multiset of `v` as sorted (id, stamp) pairs.
 std::vector<std::pair<VertexId, int64_t>> EdgePairs(const Graph& g,
                                                     RelationId rel,
                                                     VertexId v, Version s) {
@@ -82,7 +100,6 @@ std::vector<std::pair<VertexId, int64_t>> EdgePairs(const Graph& g,
   AdjSpan span = g.Neighbors(rel, v, s, &scratch);
   std::vector<std::pair<VertexId, int64_t>> out;
   for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] == kInvalidVertex) continue;
     out.emplace_back(span.ids[i], span.stamps ? span.stamps[i] : 0);
   }
   std::sort(out.begin(), out.end());
@@ -177,26 +194,34 @@ TEST(CompactionTest, PinnedReaderStaysByteIdenticalAcrossSwap) {
   RingGraph ring(128);
   Graph& g = *ring.graph;
   for (int i = 0; i < 128; ++i) ring.Churn(i, /*fan=*/3, i, /*remove=*/true);
+  // Post-bulk vertices land in the segment's tail.
+  std::vector<VertexId> all = ring.vertices;
+  for (int k = 0; k < 8; ++k) all.push_back(ring.AddVertex(1000 + k, 3));
+  const RelationId in = g.ReverseRelation(ring.out);
 
   SnapshotHandle pin = g.PinSnapshot();
   Version s = pin.version();
   std::vector<std::vector<std::pair<VertexId, int64_t>>> expected;
-  for (int i = 0; i < 128; ++i) {
-    expected.push_back(EdgePairs(g, ring.out, ring.vertices[i], s));
+  for (VertexId v : all) {
+    expected.push_back(EdgePairs(g, ring.out, v, s));
+    expected.push_back(EdgePairs(g, in, v, s));
   }
 
   // Post-pin churn + swap: the pin predates the install version, so the
   // replaced storage parks on the retire list instead of being freed.
   for (int i = 0; i < 128; ++i) ring.Churn(i, /*fan=*/2, 1000 + i, false);
+  for (int k = 0; k < 4; ++k) ring.AddVertex(2000 + k, 2);
   CompactionOptions opts;
   opts.force = true;
   ASSERT_GE(g.CompactRelations(opts).relations_compacted, 1u);
   g.PruneVersions();
   EXPECT_GT(g.RetiredBytes(), 0u) << "retired batch freed under a live pin";
 
-  for (int i = 0; i < 128; ++i) {
-    EXPECT_EQ(EdgePairs(g, ring.out, ring.vertices[i], s), expected[i])
-        << "vertex " << i << " at pinned snapshot " << s;
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(EdgePairs(g, ring.out, all[i], s), expected[2 * i])
+        << "vertex " << all[i] << " at pinned snapshot " << s;
+    EXPECT_EQ(EdgePairs(g, in, all[i], s), expected[2 * i + 1])
+        << "vertex " << all[i] << " (IN) at pinned snapshot " << s;
   }
 
   // Releasing the pin (plus one commit to push the watermark strictly
@@ -222,6 +247,8 @@ TEST(CompactionTest, ConcurrentChurnStormIsRaceFree) {
       for (int i = 0; i < 150; ++i) {
         ring.Churn((t * 31 + i) % 64, /*fan=*/2, t * 1000 + i,
                    /*remove=*/i % 4 == 0);
+        // Post-bulk vertices, so swaps also rebuild segment tails.
+        if (i % 10 == 0) ring.AddVertex(100000 + t * 1000 + i, /*fan=*/2);
       }
     });
   }
@@ -305,6 +332,211 @@ TEST(CompactionTest, BaseReadersRaceFreeAcrossDetach) {
     stop.store(true, std::memory_order_release);
     for (auto& r : readers) r.join();
     EXPECT_TRUE(g.RelationCompacted(ring.out));
+  }
+}
+
+// A segment indexes its relation's source label, not the graph: compacting
+// an 8-vertex label's relation next to a 20,000-vertex label costs bytes in
+// proportion to the 8 (a global index would cost 12 B per graph vertex,
+// 240 KB here), while the reverse relation pays for its 20,000 sources.
+TEST(CompactionTest, SegmentIndexScalesWithSourceLabel) {
+  Graph g;
+  Catalog& c = g.catalog();
+  LabelId big = c.AddVertexLabel("BIG");
+  LabelId small = c.AddVertexLabel("SMALL");
+  LabelId owns = c.AddEdgeLabel("OWNS");
+  g.RegisterRelation(small, owns, big, /*has_stamp=*/true);
+  std::vector<VertexId> bigs, smalls;
+  for (int i = 0; i < 20000; ++i) bigs.push_back(g.AddVertexBulk(big, i));
+  for (int i = 0; i < 8; ++i) smalls.push_back(g.AddVertexBulk(small, i));
+  for (int i = 0; i < 8; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      g.AddEdgeBulk(owns, smalls[i], bigs[i * 2500 + k], 10 * i + k);
+    }
+  }
+  g.FinalizeBulk();
+  const RelationId out = g.FindRelation(small, owns, big, Direction::kOut);
+  const RelationId in = g.ReverseRelation(out);
+
+  CompactionOptions opts;
+  opts.force = true;
+  opts.only = {out};
+  ASSERT_EQ(g.CompactRelations(opts).relations_compacted, 1u);
+  // 9 offsets + 8 degrees, ~10 encoded bytes per source and the header.
+  EXPECT_LT(g.RelationMemoryBytes(out), 512u);
+  opts.only = {in};
+  ASSERT_EQ(g.CompactRelations(opts).relations_compacted, 1u);
+  EXPECT_GE(g.RelationMemoryBytes(in), 20000u * 2 * sizeof(uint32_t));
+
+  const Version v = g.CurrentVersion();
+  for (int i = 0; i < 8; ++i) {
+    std::vector<std::pair<VertexId, int64_t>> want;
+    for (int k = 0; k < 4; ++k) want.emplace_back(bigs[i * 2500 + k], 10 * i + k);
+    EXPECT_EQ(EdgePairs(g, out, smalls[i], v), want) << "small " << i;
+    EXPECT_EQ(EdgePairs(g, in, bigs[i * 2500], v),
+              (std::vector<std::pair<VertexId, int64_t>>{{smalls[i], 10 * i}}))
+        << "big " << i * 2500;
+  }
+  // A vertex outside the source label reads empty from either segment.
+  EXPECT_TRUE(EdgePairs(g, out, bigs[0], v).empty());
+  EXPECT_TRUE(EdgePairs(g, in, smalls[0], v).empty());
+}
+
+// TailSlot's bucket directory against a linear scan, on a tail whose ids
+// are clustered, gapped and sparse: every tail id finds its slot and list,
+// every other id (between, before and after them) gets kNoSlot.
+TEST(CompactionTest, SegmentTailLookupMatchesLinearScan) {
+  std::vector<VertexId> tail;
+  for (VertexId v = 1000; v < 1400; v += 1 + (v % 7)) tail.push_back(v);
+  for (VertexId v = 50000; v < 50040; ++v) tail.push_back(v);
+  tail.push_back(1u << 30);
+  CompressedSegment::Builder builder(/*has_stamp=*/false);
+  const VertexId bulk_ids[2] = {7, 9};
+  builder.Add(bulk_ids, nullptr, 2);
+  builder.Add(nullptr, nullptr, 0);
+  for (VertexId v : tail) {
+    const VertexId ids[2] = {v, v + 1};
+    builder.AddTail(v, ids, nullptr, 2);
+  }
+  std::shared_ptr<const CompressedSegment> seg = builder.Build(/*cut=*/1);
+
+  AdjScratch scratch;
+  EXPECT_EQ(seg->Decode(0, &scratch).size, 2u);
+  EXPECT_EQ(seg->DegreeAt(1), 0u);
+  for (size_t p = 0; p < tail.size(); ++p) {
+    const uint32_t slot = seg->TailSlot(tail[p]);
+    ASSERT_EQ(slot, 2 + p) << "tail id " << tail[p];
+    AdjSpan span = seg->Decode(slot, &scratch);
+    ASSERT_EQ(span.size, 2u);
+    EXPECT_EQ(span.ids[0], tail[p]);
+    EXPECT_EQ(span.ids[1], tail[p] + 1);
+  }
+  for (VertexId v : {VertexId{0}, VertexId{999}, VertexId{1001},
+                     VertexId{40000}, VertexId{50040},
+                     VertexId{(1u << 30) - 1}, VertexId{(1u << 30) + 1}}) {
+    EXPECT_EQ(seg->TailSlot(v), CompressedSegment::kNoSlot) << v;
+  }
+  for (VertexId v = 1000; v < 1400; ++v) {
+    const bool in_tail = std::binary_search(tail.begin(), tail.end(), v);
+    EXPECT_EQ(seg->TailSlot(v) != CompressedSegment::kNoSlot, in_tail) << v;
+  }
+  EXPECT_EQ(seg->num_sources(), 1 + tail.size());
+  EXPECT_EQ(seg->num_edges(), 2 + 2 * tail.size());
+}
+
+// Post-bulk vertices across swaps. A source-label vertex whose edges
+// committed before the cut reads from the segment's tail once the swap has
+// collapsed its chain; one created after the cut reads through the overlay;
+// a vertex of another label, bulk or post-bulk, reads empty. A second pass
+// carries the old tail forward.
+TEST(CompactionTest, PostBulkVerticesResolveAcrossSwaps) {
+  using Pairs = std::vector<std::pair<VertexId, int64_t>>;
+  TinyGraph tiny;
+  Graph& g = *tiny.graph;
+  VertexId p10, m10;
+  {
+    auto txn = g.BeginWrite({tiny.persons[0], tiny.persons[1]});
+    p10 = txn->CreateVertex(tiny.person, 10, {});
+    m10 = txn->CreateVertex(tiny.message, 10, {});
+    ASSERT_TRUE(txn->AddEdge(tiny.knows, p10, tiny.persons[0], 7).ok());
+    ASSERT_TRUE(txn->AddEdge(tiny.knows, p10, tiny.persons[1], 8).ok());
+    ASSERT_TRUE(txn->AddEdge(tiny.has_creator, m10, p10).ok());
+    ASSERT_NE(txn->Commit(), 0u);
+  }
+  CompactionOptions opts;
+  opts.force = true;
+  ASSERT_GE(g.CompactRelations(opts).relations_compacted, 1u);
+  ASSERT_TRUE(g.RelationCompacted(tiny.knows_out));
+  VertexId p11;
+  {
+    auto txn = g.BeginWrite({tiny.persons[2]});
+    p11 = txn->CreateVertex(tiny.person, 11, {});
+    ASSERT_TRUE(txn->AddEdge(tiny.knows, p11, tiny.persons[2], 9).ok());
+    ASSERT_NE(txn->Commit(), 0u);
+  }
+
+  // A list decoded from a segment is the scratch's own buffer; overlay
+  // entries and the base CSR point elsewhere.
+  auto from_segment = [&g](RelationId rel, VertexId v) {
+    AdjScratch scratch;
+    AdjSpan span = g.Neighbors(rel, v, g.CurrentVersion(), &scratch);
+    return span.size > 0 && span.ids == scratch.ids.data();
+  };
+  auto check = [&](bool p11_in_segment) {
+    const Version v = g.CurrentVersion();
+    EXPECT_EQ(EdgePairs(g, tiny.knows_out, p10, v),
+              (Pairs{{tiny.persons[0], 7}, {tiny.persons[1], 8}}));
+    EXPECT_EQ(g.Degree(tiny.knows_out, p10, v), 2u);
+    EXPECT_TRUE(from_segment(tiny.knows_out, p10)) << "not in the tail";
+    EXPECT_EQ(EdgePairs(g, tiny.msg_creator, m10, v), (Pairs{{p10, 0}}));
+    EXPECT_EQ(EdgePairs(g, tiny.person_messages, p10, v), (Pairs{{m10, 0}}));
+    EXPECT_EQ(EdgePairs(g, tiny.knows_out, p11, v),
+              (Pairs{{tiny.persons[2], 9}}));
+    EXPECT_EQ(from_segment(tiny.knows_out, p11), p11_in_segment);
+    for (VertexId other : {tiny.messages[0], m10}) {
+      EXPECT_TRUE(EdgePairs(g, tiny.knows_out, other, v).empty()) << other;
+      EXPECT_EQ(g.Degree(tiny.knows_out, other, v), 0u) << other;
+    }
+    EXPECT_TRUE(EdgePairs(g, tiny.msg_creator, p10, v).empty());
+  };
+  check(/*p11_in_segment=*/false);
+  ASSERT_GE(g.CompactRelations(opts).relations_compacted, 1u);
+  check(/*p11_in_segment=*/true);
+}
+
+// IC3-style multi-relation Expands over compacted relations: rows of both
+// labels probe both labels' relations, post-bulk vertices included. Every
+// ExecMode must agree with the uncompacted twin graph.
+TEST(CompactionTest, MixedLabelExpandAgreesAcrossModesWhenCompacted) {
+  TinyGraph compacted, control;
+  auto update = [](TinyGraph& t, int64_t ext, bool compact_after) {
+    {
+      auto txn =
+          t.graph->BeginWrite({t.persons[1], t.persons[3], t.messages[0]});
+      VertexId p = txn->CreateVertex(t.person, ext, {{t.id, Value::Int(ext)}});
+      VertexId m =
+          txn->CreateVertex(t.message, ext, {{t.id, Value::Int(ext)}});
+      ASSERT_TRUE(txn->AddEdge(t.knows, p, t.persons[1], ext).ok());
+      ASSERT_TRUE(txn->AddEdge(t.knows, t.persons[1], p, ext).ok());
+      ASSERT_TRUE(txn->AddEdge(t.has_creator, m, t.persons[1]).ok());
+      ASSERT_TRUE(txn->AddEdge(t.has_creator, t.messages[0], p).ok());
+      if (ext == 10) {
+        ASSERT_TRUE(
+            txn->RemoveEdge(t.knows, t.persons[1], t.persons[3]).ok());
+      }
+      ASSERT_NE(txn->Commit(), 0u);
+    }
+    if (compact_after) {
+      CompactionOptions opts;
+      opts.force = true;
+      ASSERT_GE(t.graph->CompactRelations(opts).relations_compacted, 1u);
+    }
+  };
+  update(compacted, 10, /*compact_after=*/true);
+  update(control, 10, /*compact_after=*/false);
+  update(compacted, 11, /*compact_after=*/false);
+  update(control, 11, /*compact_after=*/false);
+  ASSERT_TRUE(compacted.graph->RelationCompacted(compacted.person_messages));
+
+  auto plan = [](const TinyGraph& t) {
+    PlanBuilder b("t");
+    b.NodeByIdSeek("p", t.person, 1)
+        .Expand("p", "x", {t.knows_out, t.person_messages})
+        .Expand("x", "y", {t.knows_out, t.msg_creator})
+        .GetProperty("x", t.id, ValueType::kInt64, "xid")
+        .GetProperty("y", t.id, ValueType::kInt64, "yid")
+        .Output({"xid", "yid"});
+    return b.Build();
+  };
+  auto run = [&plan](ExecMode mode, const TinyGraph& t) {
+    GraphView view(t.graph.get());
+    return testutil::SortedRows(Executor(mode).Run(plan(t), view).table);
+  };
+  const std::vector<std::string> want = run(ExecMode::kVolcano, control);
+  ASSERT_FALSE(want.empty());
+  for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFlat,
+                        ExecMode::kFactorized, ExecMode::kFactorizedFused}) {
+    EXPECT_EQ(run(mode, compacted), want) << "mode=" << ExecModeName(mode);
   }
 }
 

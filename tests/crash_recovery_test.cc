@@ -168,11 +168,7 @@ int64_t VerifyRecovered(const std::string& dir) {
     EXPECT_EQ(g->GetProperty(v, s.val, ver), Value::Int(i * 7))
         << "partial transaction visible for ext=" << i;
   }
-  uint32_t degree = 0;
-  AdjSpan span = g->Neighbors(s.link_out, s.root, ver);
-  for (uint32_t j = 0; j < span.size; ++j) {
-    if (span.ids[j] != kInvalidVertex) ++degree;
-  }
+  const uint32_t degree = g->Neighbors(s.link_out, s.root, ver).size;
   EXPECT_EQ(degree, static_cast<uint32_t>(max_applied))
       << "root out-degree does not match applied transactions";
   EXPECT_EQ(g->GetProperty(s.root, s.counter, ver),

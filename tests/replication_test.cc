@@ -102,7 +102,6 @@ uint64_t GraphFingerprint(const Graph& g) {
       AdjSpan span = g.Neighbors(rel, v, snap, &scratch);
       std::vector<std::pair<int64_t, int64_t>> edges;
       for (uint32_t i = 0; i < span.size; ++i) {
-        if (span.ids[i] == kInvalidVertex) continue;
         edges.emplace_back(g.ExtIdOf(span.ids[i], snap),
                            span.stamps != nullptr ? span.stamps[i] : 0);
       }

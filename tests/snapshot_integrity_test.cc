@@ -39,7 +39,6 @@ std::vector<std::pair<int64_t, int64_t>> EdgeSet(const Graph& g,
   AdjSpan span = g.Neighbors(rel, v, snap, &scratch);
   std::vector<std::pair<int64_t, int64_t>> out;
   for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] == kInvalidVertex) continue;
     out.emplace_back(g.ExtIdOf(span.ids[i], snap),
                      span.stamps != nullptr ? span.stamps[i] : 0);
   }
@@ -200,7 +199,7 @@ TEST(SnapshotIntegrityTest, V4RoundTripsEdgesStampsAndOverlay) {
     VertexId lp = loaded.FindByExtId(tiny.person, i, lv);
     ASSERT_NE(lp, kInvalidVertex);
     // The codec stores ext-id gaps + per-source stamp deltas; the decoded
-    // (ext_id, stamp) multiset must match exactly, tombstone pruned.
+    // (ext_id, stamp) multiset must match exactly.
     EXPECT_EQ(EdgeSet(loaded, knows, lp, lv),
               EdgeSet(*tiny.graph, tiny.knows_out, tiny.persons[i], sv))
         << "person " << i;

@@ -6,7 +6,7 @@
 //    IntersectExpand plans vs the optimizer rewrite, across all four
 //    ExecModes and intra-query thread counts {1, 2, 7};
 //  - pinned MVCC snapshots stay byte-identical while concurrent write
-//    transactions add/remove edges (tombstone + overlay galloping paths);
+//    transactions add/remove edges (overlay galloping paths);
 //  - the optimizer rewrite itself: orientation handling, deferred filters,
 //    the cost gate and the ablation flag;
 //  - intersection counters through EXPLAIN ANALYZE and ServiceStats, and
@@ -339,7 +339,7 @@ TEST(WcojSnapshotTest, PinnedSnapshotByteIdenticalUnderUpdates) {
     EXPECT_EQ(CountOf(Executor(mode).Run(manual, current)), after)
         << "current manual " << ExecModeName(mode);
   }
-  // Analytics kernels see the same post-update graph (overlay + tombstone
+  // Analytics kernels see the same post-update graph (overlay
   // galloping paths agree with the merge-join oracle).
   uint64_t now_tri = d.triangles + 1 - (s - 2);
   EXPECT_EQ(CountTriangles(current, d.node, d.rel), now_tri);
