@@ -8,11 +8,14 @@
 #      shared plan cache's lookup/insert/invalidate races, and the
 #      delta-merge segment swap under churn must be TSan-clean)
 #   3. GES_SANITIZE=undefined — kernels / executor / durability labels
-#      plus one pass of bench_filter_selectivity (GES_ITERS=1): the WAL
-#      codec and CRC32C are bit-twiddling-heavy
+#      plus one pass of bench_filter_selectivity (GES_ITERS=1): the shared
+#      byte codec (common/wire.h: wire frames, WAL records, snapshot file,
+#      covered by the serialization, snapshot-integrity, WAL and
+#      golden-byte tests) and CRC32C are bit-twiddling-heavy
 #   4. GES_SANITIZE=address   — governor / service labels: the resource
 #      governor's unwind paths (budget kills mid-allocation, watchdog
-#      shots, watermark sheds) must be leak- and overflow-clean
+#      shots, watermark sheds) must be leak- and overflow-clean, and the
+#      golden-byte codec tests run here too
 #
 # Usage: scripts/ci.sh [flavor...]     (default: all four)
 #   flavors: release, tsan, ubsan, asan

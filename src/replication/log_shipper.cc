@@ -21,7 +21,6 @@ constexpr auto kHeartbeatInterval = std::chrono::milliseconds(200);
 }  // namespace
 
 using service::MsgType;
-using service::WireBuf;
 
 void LogShipper::Start() {
   if (started_.exchange(true)) return;

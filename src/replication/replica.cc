@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "replication/replication_wire.h"
@@ -21,7 +20,6 @@ namespace {
 
 using service::MsgType;
 using service::ReadResult;
-using service::WireReader;
 
 // Must match the durable-directory layout in storage/durability.cc.
 constexpr const char* kSnapshotName = "/snapshot.ges";
@@ -168,8 +166,7 @@ Status Replica::Bootstrap() {
     if (opts_.data_dir.empty()) {
       // In-memory replica: load straight from the wire image.
       graph_ = std::make_unique<Graph>();
-      std::istringstream is(std::move(image));
-      GES_RETURN_IF_ERROR(LoadGraph(is, graph_.get()));
+      GES_RETURN_IF_ERROR(LoadGraph(image, graph_.get()));
     } else {
       // Durable replica whose local state is behind the primary's oldest
       // retained WAL: replace the directory with the shipped checkpoint

@@ -3,8 +3,6 @@
 namespace ges::replication {
 
 using service::MsgType;
-using service::WireBuf;
-using service::WireReader;
 
 std::string EncodeWalFrame(Version commit_version,
                            const std::vector<WalRecord>& records) {
@@ -35,10 +33,11 @@ bool DecodeWalFrame(WireReader* in, WalTxn* out) {
   out->txid = out->commit_version;
   out->committed = true;
   uint32_t n = in->GetU32();
+  if (n > in->remaining() / 4) return false;  // each record: u32 length + body
   out->records.reserve(n);
   for (uint32_t i = 0; in->ok() && i < n; ++i) {
     WalRecord rec;
-    if (!DecodeWalRecord(in->GetString(), &rec)) return false;
+    if (!DecodeWalRecord(in->GetBytes(in->GetU32()), &rec)) return false;
     out->records.push_back(std::move(rec));
   }
   return in->ok() && out->commit_version != 0;

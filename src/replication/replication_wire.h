@@ -22,7 +22,7 @@ std::string EncodeWalFrame(Version commit_version,
 
 // Decodes a kWalFrame payload; `in` must be positioned after the type
 // byte. Returns false on malformed input.
-bool DecodeWalFrame(service::WireReader* in, WalTxn* out);
+bool DecodeWalFrame(WireReader* in, WalTxn* out);
 
 std::string EncodeSubscribe(Version from, const std::string& name);
 std::string EncodeHeartbeat(Version primary_version);

@@ -5,8 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
-
 namespace ges::service {
 
 const char* WireStatusName(WireStatus s) {
@@ -35,78 +33,6 @@ const char* WireStatusName(WireStatus s) {
       return "OVERLOADED";
   }
   return "?";
-}
-
-void WireBuf::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void WireBuf::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void WireBuf::PutDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void WireBuf::PutString(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  buf_.append(s);
-}
-
-bool WireReader::Need(size_t n) {
-  if (!ok_ || static_cast<size_t>(end_ - p_) < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-uint8_t WireReader::GetU8() {
-  if (!Need(1)) return 0;
-  return static_cast<uint8_t>(*p_++);
-}
-
-uint32_t WireReader::GetU32() {
-  if (!Need(4)) return 0;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p_[i])) << (8 * i);
-  }
-  p_ += 4;
-  return v;
-}
-
-uint64_t WireReader::GetU64() {
-  if (!Need(8)) return 0;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p_[i])) << (8 * i);
-  }
-  p_ += 8;
-  return v;
-}
-
-double WireReader::GetDouble() {
-  uint64_t bits = GetU64();
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string WireReader::GetString() {
-  uint32_t n = GetU32();
-  if (!Need(n)) return std::string();
-  std::string s(p_, n);
-  p_ += n;
-  return s;
 }
 
 void PutParams(WireBuf* out, const LdbcParams& p) {
@@ -143,44 +69,6 @@ LdbcParams GetParams(WireReader* in) {
   return p;
 }
 
-void PutValue(WireBuf* out, const Value& v) {
-  out->PutU8(static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kDouble:
-      out->PutDouble(v.AsDouble());
-      break;
-    case ValueType::kString:
-      out->PutString(v.AsString());
-      break;
-    default:  // bool / int64 / date / vertex: one int64 slot
-      out->PutI64(v.AsInt());
-  }
-}
-
-Value GetValue(WireReader* in) {
-  ValueType t = static_cast<ValueType>(in->GetU8());
-  switch (t) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kBool:
-      return Value::Bool(in->GetI64() != 0);
-    case ValueType::kDouble:
-      return Value::Double(in->GetDouble());
-    case ValueType::kString:
-      return Value::String(in->GetString());
-    case ValueType::kDate:
-      return Value::Date(in->GetI64());
-    case ValueType::kVertex:
-      return Value::Vertex(static_cast<VertexId>(in->GetU64()));
-    case ValueType::kInt64:
-      return Value::Int(in->GetI64());
-  }
-  in->MarkBad();  // unknown tag: the stream position is unknowable
-  return Value::Null();
-}
-
 void PutFlatBlock(WireBuf* out, const FlatBlock& block) {
   const Schema& s = block.schema();
   out->PutU32(static_cast<uint32_t>(s.size()));
@@ -190,21 +78,7 @@ void PutFlatBlock(WireBuf* out, const FlatBlock& block) {
   }
   out->PutU64(block.NumRows());
   for (const auto& row : block.rows()) {
-    for (const Value& v : row) {
-      out->PutU8(static_cast<uint8_t>(v.type()));
-      switch (v.type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kDouble:
-          out->PutDouble(v.AsDouble());
-          break;
-        case ValueType::kString:
-          out->PutString(v.AsString());
-          break;
-        default:  // bool / int64 / date / vertex: one int64 slot
-          out->PutI64(v.AsInt());
-      }
-    }
+    for (const Value& v : row) PutValue(out, v);
   }
 }
 
@@ -222,29 +96,7 @@ FlatBlock GetFlatBlock(WireReader* in) {
     std::vector<Value> row;
     row.reserve(ncols);
     for (uint32_t c = 0; in->ok() && c < ncols; ++c) {
-      ValueType t = static_cast<ValueType>(in->GetU8());
-      switch (t) {
-        case ValueType::kNull:
-          row.push_back(Value::Null());
-          break;
-        case ValueType::kBool:
-          row.push_back(Value::Bool(in->GetI64() != 0));
-          break;
-        case ValueType::kDouble:
-          row.push_back(Value::Double(in->GetDouble()));
-          break;
-        case ValueType::kString:
-          row.push_back(Value::String(in->GetString()));
-          break;
-        case ValueType::kDate:
-          row.push_back(Value::Date(in->GetI64()));
-          break;
-        case ValueType::kVertex:
-          row.push_back(Value::Vertex(static_cast<VertexId>(in->GetU64())));
-          break;
-        default:
-          row.push_back(Value::Int(in->GetI64()));
-      }
+      row.push_back(GetValue(in));
     }
     if (in->ok()) block.AppendRow(std::move(row));
   }
@@ -426,14 +278,12 @@ int ReadAll(int fd, char* data, size_t len) {
 
 bool WriteFrame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) return false;
-  char hdr[4];
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    hdr[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  }
+  WireBuf hdr;
+  hdr.PutU32(static_cast<uint32_t>(payload.size()));
   // Header and payload as one logical write; two syscalls is fine here
   // (the protocol is not latency-bound by syscall count at this scale).
-  return WriteAll(fd, hdr, 4) && WriteAll(fd, payload.data(), payload.size());
+  return WriteAll(fd, hdr.data().data(), 4) &&
+         WriteAll(fd, payload.data(), payload.size());
 }
 
 ReadResult ReadFrame(int fd, std::string* payload) {
@@ -441,10 +291,7 @@ ReadResult ReadFrame(int fd, std::string* payload) {
   int r = ReadAll(fd, hdr, 4);
   if (r == 0) return ReadResult::kClosed;
   if (r < 0) return ReadResult::kError;
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(hdr[i])) << (8 * i);
-  }
+  uint32_t len = WireReader(hdr, 4).GetU32();
   if (len > kMaxFrameBytes) return ReadResult::kTooLarge;
   payload->resize(len);
   if (len > 0 && ReadAll(fd, payload->data(), len) != 1) {

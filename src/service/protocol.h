@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "common/wire.h"
 #include "executor/flatblock.h"
 #include "queries/ldbc.h"
 
@@ -206,60 +207,11 @@ struct ExecuteRequest {
 
 // --- body builders / parsers -------------------------------------------
 
-// Append-only encoder for frame payloads.
-class WireBuf {
- public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutDouble(double v);
-  void PutString(const std::string& s);  // u32 length + bytes
-
-  const std::string& data() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-// Bounds-checked decoder. All Get* return defaults once `ok()` is false;
-// callers check ok() after parsing a body.
-class WireReader {
- public:
-  WireReader(const char* data, size_t size) : p_(data), end_(data + size) {}
-  explicit WireReader(const std::string& s) : WireReader(s.data(), s.size()) {}
-
-  uint8_t GetU8();
-  uint32_t GetU32();
-  uint64_t GetU64();
-  int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-  double GetDouble();
-  std::string GetString();
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return p_ == end_; }
-  // Poisons the reader: a decoder that meets an unknown tag cannot know
-  // where the next field starts, so the whole frame is rejected.
-  void MarkBad() { ok_ = false; }
-
- private:
-  bool Need(size_t n);
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
-
 void PutParams(WireBuf* out, const LdbcParams& p);
 LdbcParams GetParams(WireReader* in);
 
-// Tagged value cell: u8 ValueType, then the FlatBlock cell payload
-// (nothing for kNull, double for kDouble, string for kString, one int64
-// slot otherwise).
-void PutValue(WireBuf* out, const Value& v);
-Value GetValue(WireReader* in);
-
+// Schema (u32 column count, then name + u8 type per column), u64 row
+// count, then every cell as a tagged Value.
 void PutFlatBlock(WireBuf* out, const FlatBlock& block);
 FlatBlock GetFlatBlock(WireReader* in);
 

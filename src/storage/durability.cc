@@ -2,7 +2,7 @@
 // checkpointing, and read-only degradation. See DESIGN.md §10.
 //
 // Directory layout:
-//   <dir>/snapshot.ges      latest checkpoint (GESSNAP3, CRC per section)
+//   <dir>/snapshot.ges      latest checkpoint (GESSNAP4, CRC per section)
 //   <dir>/snapshot.ges.tmp  in-flight checkpoint (garbage after a crash)
 //   <dir>/wal.log           transactions since the snapshot
 //
@@ -18,7 +18,6 @@
 // Replay itself runs with the WAL detached, so replayed transactions are
 // not re-logged; because commit versions are consecutive, replay reproduces
 // the pre-crash version numbering.
-#include <sstream>
 #include <unordered_map>
 
 #include "storage/graph.h"
@@ -32,14 +31,14 @@ constexpr char kSnapshotName[] = "/snapshot.ges";
 constexpr char kSnapshotTmpName[] = "/snapshot.ges.tmp";
 constexpr char kWalName[] = "/wal.log";
 
-// Writes a V3 snapshot of `graph` atomically into `dir`: tmp file + fsync +
+// Writes a snapshot of `graph` atomically into `dir`: tmp file + fsync +
 // rename + directory fsync. The caller must hold the commit mutex (or
 // otherwise exclude concurrent commits) so the snapshot version covers
 // everything the WAL rotation is about to discard.
 Status WriteSnapshotAtomic(const Graph& graph, FileSystem* fs,
                            const std::string& dir) {
   std::string tmp = dir + kSnapshotTmpName;
-  GES_RETURN_IF_ERROR(SaveGraphFile(graph, tmp, SnapshotFormat::kV4));
+  GES_RETURN_IF_ERROR(SaveGraphFile(graph, tmp));
   GES_RETURN_IF_ERROR(fs->SyncFile(tmp));
   GES_RETURN_IF_ERROR(fs->Rename(tmp, dir + kSnapshotName));
   GES_RETURN_IF_ERROR(fs->SyncDir(dir));
@@ -298,10 +297,8 @@ Status Graph::CollectReplicationBacklog(
     // In-memory primary (bench/test topologies): serialize a fresh
     // snapshot at the current version; commits are excluded while the
     // commit mutex is held, exactly like a checkpoint.
-    std::ostringstream os;
-    GES_RETURN_IF_ERROR(SaveGraph(*this, os));
+    GES_RETURN_IF_ERROR(SaveGraph(*this, &out->snapshot_bytes));
     out->need_snapshot = true;
-    out->snapshot_bytes = os.str();
     out->snapshot_version = current;
   }
   out->live_from = current;

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "common/crc32c.h"
+#include "common/wire.h"
 
 namespace ges {
 
@@ -16,170 +17,12 @@ namespace {
 
 constexpr char kWalMagic[8] = {'G', 'E', 'S', 'W', 'A', 'L', '0', '1'};
 constexpr size_t kMagicSize = 8;
-constexpr size_t kFrameHeaderSize = 8;  // u32 len + u32 crc
 // Sanity bound on one record's payload; anything larger is treated as a
 // torn/corrupt frame during the scan.
 constexpr uint32_t kMaxPayload = 16u << 20;
 
 std::string ErrnoMessage(const std::string& what) {
   return what + ": " + std::strerror(errno);
-}
-
-// --- little-endian buffer codec ---
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v));
-  out->push_back(static_cast<char>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& buf) : buf_(buf) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > buf_.size()) return false;
-    *v = static_cast<uint8_t>(buf_[pos_++]);
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    if (pos_ + 2 > buf_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 2; ++i) {
-      *v |= static_cast<uint16_t>(static_cast<unsigned char>(buf_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > buf_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<unsigned char>(buf_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > buf_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<unsigned char>(buf_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint32_t n;
-    if (!U32(&n)) return false;
-    if (pos_ + n > buf_.size()) return false;
-    s->assign(buf_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  const std::string& buf_;
-  size_t pos_ = 0;
-};
-
-// Value codec for SetProperty payloads: u8 type tag + type-specific body.
-// Strings are always inline (the WAL outlives any dictionary state).
-void PutValue(std::string* out, const Value& v) {
-  PutU8(out, static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kDouble: {
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      PutU64(out, bits);
-      break;
-    }
-    case ValueType::kString:
-      PutString(out, v.AsString());
-      break;
-    default:
-      PutI64(out, v.AsInt());
-      break;
-  }
-}
-
-bool GetValue(Cursor* c, Value* v) {
-  uint8_t tag;
-  if (!c->U8(&tag)) return false;
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::kNull:
-      *v = Value::Null();
-      return true;
-    case ValueType::kBool: {
-      int64_t i;
-      if (!c->I64(&i)) return false;
-      *v = Value::Bool(i != 0);
-      return true;
-    }
-    case ValueType::kInt64: {
-      int64_t i;
-      if (!c->I64(&i)) return false;
-      *v = Value::Int(i);
-      return true;
-    }
-    case ValueType::kDouble: {
-      uint64_t bits;
-      if (!c->U64(&bits)) return false;
-      double d;
-      std::memcpy(&d, &bits, 8);
-      *v = Value::Double(d);
-      return true;
-    }
-    case ValueType::kString: {
-      std::string s;
-      if (!c->Str(&s)) return false;
-      *v = Value::String(std::move(s));
-      return true;
-    }
-    case ValueType::kDate: {
-      int64_t i;
-      if (!c->I64(&i)) return false;
-      *v = Value::Date(i);
-      return true;
-    }
-    case ValueType::kVertex: {
-      int64_t i;
-      if (!c->I64(&i)) return false;
-      *v = Value::Vertex(static_cast<VertexId>(i));
-      return true;
-    }
-  }
-  return false;
 }
 
 // --- POSIX filesystem ---
@@ -314,76 +157,76 @@ FileSystem* FileSystem::Default() {
 // --- record codec ---
 
 std::string EncodeWalRecord(const WalRecord& rec) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(rec.type));
+  WireBuf out;
+  out.PutU8(static_cast<uint8_t>(rec.type));
   switch (rec.type) {
     case WalRecordType::kBeginTx:
     case WalRecordType::kCommitTx:
-      PutU64(&out, rec.txid);
+      out.PutU64(rec.txid);
       break;
     case WalRecordType::kInsertVertex:
-      PutU16(&out, rec.label);
-      PutI64(&out, rec.ext_id);
+      out.PutU16(rec.label);
+      out.PutI64(rec.ext_id);
       break;
     case WalRecordType::kSetProperty:
-      PutU16(&out, rec.label);
-      PutI64(&out, rec.ext_id);
-      PutU16(&out, rec.prop);
+      // Strings are always inline: the WAL outlives any dictionary state.
+      out.PutU16(rec.label);
+      out.PutI64(rec.ext_id);
+      out.PutU16(rec.prop);
       PutValue(&out, rec.value);
       break;
     case WalRecordType::kInsertEdge:
     case WalRecordType::kDeleteTombstone:
-      PutU16(&out, rec.edge_label);
-      PutU16(&out, rec.src_label);
-      PutI64(&out, rec.src_ext);
-      PutU16(&out, rec.dst_label);
-      PutI64(&out, rec.dst_ext);
-      if (rec.type == WalRecordType::kInsertEdge) PutI64(&out, rec.stamp);
+      out.PutU16(rec.edge_label);
+      out.PutU16(rec.src_label);
+      out.PutI64(rec.src_ext);
+      out.PutU16(rec.dst_label);
+      out.PutI64(rec.dst_ext);
+      if (rec.type == WalRecordType::kInsertEdge) out.PutI64(rec.stamp);
       break;
   }
-  return out;
+  return out.Take();
 }
 
-bool DecodeWalRecord(const std::string& payload, WalRecord* rec) {
-  Cursor c(payload);
-  uint8_t type;
-  if (!c.U8(&type)) return false;
+bool DecodeWalRecord(std::string_view payload, WalRecord* rec) {
+  WireReader in(payload);
   *rec = WalRecord{};
-  rec->type = static_cast<WalRecordType>(type);
+  rec->type = static_cast<WalRecordType>(in.GetU8());
   switch (rec->type) {
     case WalRecordType::kBeginTx:
     case WalRecordType::kCommitTx:
-      if (!c.U64(&rec->txid)) return false;
+      rec->txid = in.GetU64();
       break;
     case WalRecordType::kInsertVertex:
-      if (!c.U16(&rec->label) || !c.I64(&rec->ext_id)) return false;
+      rec->label = in.GetU16();
+      rec->ext_id = in.GetI64();
       break;
     case WalRecordType::kSetProperty:
-      if (!c.U16(&rec->label) || !c.I64(&rec->ext_id) || !c.U16(&rec->prop) ||
-          !GetValue(&c, &rec->value)) {
-        return false;
-      }
+      rec->label = in.GetU16();
+      rec->ext_id = in.GetI64();
+      rec->prop = in.GetU16();
+      rec->value = GetValue(&in);
       break;
     case WalRecordType::kInsertEdge:
     case WalRecordType::kDeleteTombstone:
-      if (!c.U16(&rec->edge_label) || !c.U16(&rec->src_label) ||
-          !c.I64(&rec->src_ext) || !c.U16(&rec->dst_label) ||
-          !c.I64(&rec->dst_ext)) {
-        return false;
-      }
-      if (rec->type == WalRecordType::kInsertEdge && !c.I64(&rec->stamp)) {
-        return false;
-      }
+      rec->edge_label = in.GetU16();
+      rec->src_label = in.GetU16();
+      rec->src_ext = in.GetI64();
+      rec->dst_label = in.GetU16();
+      rec->dst_ext = in.GetI64();
+      if (rec->type == WalRecordType::kInsertEdge) rec->stamp = in.GetI64();
       break;
     default:
       return false;
   }
-  return c.AtEnd();
+  return in.ok() && in.AtEnd();
 }
 
 void AppendWalFrame(std::string* out, const std::string& payload) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32c(payload));
+  WireBuf header;
+  header.PutU32(static_cast<uint32_t>(payload.size()));
+  header.PutU32(Crc32c(payload));
+  out->append(header.data());
   out->append(payload);
 }
 
@@ -612,26 +455,22 @@ Status ScanWal(const std::string& path, FileSystem* fs, WalScanResult* out) {
     return Status::InvalidArgument("not a GES WAL (bad magic): " + path);
   }
 
+  WireReader log(data);
+  log.GetBytes(kMagicSize);
   size_t pos = kMagicSize;
   WalTxn open_txn;
   bool in_txn = false;
   for (;;) {
-    if (pos + kFrameHeaderSize > data.size()) break;
-    uint32_t len = 0, crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<unsigned char>(data[pos + i]))
-             << (8 * i);
-      crc |= static_cast<uint32_t>(
-                 static_cast<unsigned char>(data[pos + 4 + i]))
-             << (8 * i);
-    }
+    uint32_t len = log.GetU32();
+    uint32_t crc = log.GetU32();
     if (len > kMaxPayload) break;
-    if (pos + kFrameHeaderSize + len > data.size()) break;
-    std::string payload = data.substr(pos + kFrameHeaderSize, len);
-    if (Crc32c(payload) != crc) break;
+    std::string_view payload = log.GetBytes(len);
     WalRecord rec;
-    if (!DecodeWalRecord(payload, &rec)) break;
-    pos += kFrameHeaderSize + len;
+    if (!log.ok() || Crc32c(payload) != crc ||
+        !DecodeWalRecord(payload, &rec)) {
+      break;
+    }
+    pos = data.size() - log.remaining();
 
     switch (rec.type) {
       case WalRecordType::kBeginTx:

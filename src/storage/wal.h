@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -113,7 +114,7 @@ struct WalRecord {
 
 // Record payload codec (no frame). Decode returns false on malformed input.
 std::string EncodeWalRecord(const WalRecord& rec);
-bool DecodeWalRecord(const std::string& payload, WalRecord* rec);
+bool DecodeWalRecord(std::string_view payload, WalRecord* rec);
 
 // Wraps a payload in the [len][crc][payload] frame.
 void AppendWalFrame(std::string* out, const std::string& payload);

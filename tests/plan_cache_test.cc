@@ -105,8 +105,8 @@ std::unique_ptr<Server> StartServer(ServiceConfig config = {}) {
 }
 
 std::string Bytes(const FlatBlock& table) {
-  service::WireBuf b;
-  PutFlatBlock(&b, table);
+  WireBuf b;
+  service::PutFlatBlock(&b, table);
   return b.Take();
 }
 

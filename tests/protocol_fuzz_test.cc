@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/snb_generator.h"
@@ -87,11 +88,9 @@ uint64_t XorShift(uint64_t* s) {
 }
 
 std::string LengthPrefix(uint32_t len) {
-  std::string hdr(4, '\0');
-  for (int i = 0; i < 4; ++i) {
-    hdr[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  }
-  return hdr;
+  WireBuf hdr;
+  hdr.PutU32(len);
+  return hdr.Take();
 }
 
 TEST_F(FuzzServer, OversizedFrameGetsCleanRefusal) {
@@ -374,6 +373,65 @@ TEST_F(FuzzServer, RandomWellFramedPayloadsAnswerOrCloseCleanly) {
     ::close(fd);
   }
   ExpectServerHealthy();
+}
+
+// The client side of the unknown-tag rule: a kResult cell with an unknown
+// type tag has no knowable width, so the client must reject the whole
+// frame instead of decoding on into silently wrong rows.
+TEST(ClientFrameFuzz, UnknownCellTagIsAMalformedResultFrame) {
+  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+
+  // A one-shot peer: answers the handshake, then answers the query with a
+  // one-cell result whose cell tag is 0xee.
+  std::thread peer([lfd] {
+    int conn = ::accept(lfd, nullptr, nullptr);
+    if (conn < 0) return;
+    std::string payload;
+    if (ReadFrame(conn, &payload) == ReadResult::kOk) {
+      WireBuf hello;
+      hello.PutU8(static_cast<uint8_t>(MsgType::kHelloOk));
+      hello.PutU64(1);  // session id
+      hello.PutU64(0);  // snapshot version
+      WriteFrame(conn, hello.data());
+    }
+    if (ReadFrame(conn, &payload) == ReadResult::kOk) {
+      WireReader in(payload);
+      in.GetU8();  // type
+      QueryRequest req;
+      DecodeQueryRequest(&in, &req);
+      QueryResponse resp;
+      resp.query_id = req.query_id;
+      Schema schema;
+      schema.Add("x", ValueType::kInt64);
+      resp.table = FlatBlock(schema);
+      resp.table.AppendRow({Value::Int(0x1122334455667788)});
+      std::string frame = EncodeQueryResponse(resp);
+      const std::string cell("\x88\x77\x66\x55\x44\x33\x22\x11", 8);
+      frame[frame.find(cell) - 1] = static_cast<char>(0xee);
+      WriteFrame(conn, frame);
+    }
+    ::close(conn);
+  });
+
+  Client c;
+  EXPECT_TRUE(c.Connect("127.0.0.1", ntohs(addr.sin_port)))
+      << c.last_error();
+  QueryResponse resp;
+  EXPECT_FALSE(c.RunBI(1, &resp));
+  EXPECT_NE(c.last_error().find("malformed result frame"), std::string::npos)
+      << c.last_error();
+  ::shutdown(lfd, SHUT_RDWR);  // wakes the peer if it never got a client
+  peer.join();
+  ::close(lfd);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ using service::QueryRequest;
 using service::QueryResponse;
 using service::Server;
 using service::ServiceConfig;
-using service::WireReader;
 using service::WireStatus;
 
 class TempDir {
@@ -162,6 +161,14 @@ TEST(ReplicationWireTest, WalFrameCodecRoundTrip) {
   bad.GetU8();
   WalTxn garbage;
   EXPECT_FALSE(replication::DecodeWalFrame(&bad, &garbage));
+
+  // A record count beyond the bytes left is rejected before anything is
+  // sized from it.
+  WireBuf lying;
+  lying.PutU64(7);            // commit version
+  lying.PutU32(0xffffffffu);  // record count, no records follow
+  WireReader huge(lying.data());
+  EXPECT_FALSE(replication::DecodeWalFrame(&huge, &garbage));
 }
 
 TEST(ReplicationTest, BootstrapSnapshotServesReadsAndRejectsWrites) {

@@ -45,7 +45,7 @@ TEST(ServiceProtocolTest, QueryRequestRoundTrip) {
   req.params.first_name = "Jan";
   req.params.max_date = 99999;
   std::string payload = EncodeQueryRequest(req);
-  service::WireReader in(payload);
+  WireReader in(payload);
   EXPECT_EQ(in.GetU8(), static_cast<uint8_t>(service::MsgType::kQuery));
   QueryRequest back;
   ASSERT_TRUE(DecodeQueryRequest(&in, &back));
@@ -59,11 +59,11 @@ TEST(ServiceProtocolTest, QueryRequestRoundTrip) {
 }
 
 TEST(ServiceProtocolTest, ReaderRejectsTruncatedPayload) {
-  service::WireBuf b;
+  WireBuf b;
   b.PutU64(7);
   std::string payload = b.Take();
   payload.resize(3);  // cut mid-integer
-  service::WireReader in(payload);
+  WireReader in(payload);
   in.GetU64();
   EXPECT_FALSE(in.ok());
 }
