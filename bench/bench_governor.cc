@@ -5,7 +5,7 @@
 //
 //   1. every over-budget hog dies with RESOURCE_EXHAUSTED and the budget
 //      detail — never a crash, never an OK;
-//   2. governor_peak_global_bytes stays under the watermark (the process
+//   2. the global memory gauge's peak stays under the watermark (the process
 //      plateaus — runaways are contained, not absorbed);
 //   3. zero client-visible errors across both phases;
 //   4. short-read p99 under the mix within GES_GOVERNOR_GATE (default 2x)
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   tame_thread.join();
   greedy_thread.join();
 
-  uint64_t peak_global = server.stats().governor_peak_global_bytes.load();
+  uint64_t peak_global = server.memory_gauge().peak();
   uint64_t governor_killed = server.stats().governor_killed.load();
   uint64_t governor_shed = server.stats().governor_shed.load();
   server.Drain(2.0);

@@ -219,14 +219,12 @@ int main(int argc, char** argv) {
       agg.phase_bind.Merge(r.phase_bind);
       agg.phase_exec.Merge(r.phase_exec);
       if (cached && round == rounds - 1) {
+        const PlanCache& cache = server.plan_cache();
         std::printf("cache on:  hits=%llu misses=%llu evictions=%llu "
                     "(last round)\n",
-                    static_cast<unsigned long long>(
-                        server.stats().plan_cache_hits.load()),
-                    static_cast<unsigned long long>(
-                        server.stats().plan_cache_misses.load()),
-                    static_cast<unsigned long long>(
-                        server.stats().plan_cache_evictions.load()));
+                    static_cast<unsigned long long>(cache.hits()),
+                    static_cast<unsigned long long>(cache.misses()),
+                    static_cast<unsigned long long>(cache.evictions()));
       }
       server.Drain(2.0);
     }

@@ -17,6 +17,10 @@
 #      shots, watermark sheds) must be leak- and overflow-clean, and the
 #      golden-byte codec tests run here too
 #
+# The release flavor also compiles perfbench/ (it links service::Server and
+# reads its statistics), so a server-API change cannot break the end-to-end
+# benchmark unnoticed. It is built, not run.
+#
 # Usage: scripts/ci.sh [flavor...]     (default: all four)
 #   flavors: release, tsan, ubsan, asan
 # Knobs: GES_CI_JOBS (parallel build/test jobs, default nproc),
@@ -38,12 +42,14 @@ build() {  # build <dir> [extra cmake args...]
 for flavor in "${FLAVORS[@]}"; do
   case "$flavor" in
     release)
-      echo "=== [ci] Release: full suite + plan-cache bench gate ==="
+      echo "=== [ci] Release: full suite + plan-cache gate + perfbench build ==="
       build "$ROOT/release"
       ctest --test-dir "$ROOT/release" --output-on-failure -j "$JOBS"
       # Perf acceptance: prepared short reads must hit the cache (>= 99%
       # after warmup) and beat uncached planning by the p50 gate.
       "$ROOT/release/bench/bench_plan_cache"
+      cmake -S perfbench -B "$ROOT/perfbench" >/dev/null
+      cmake --build "$ROOT/perfbench" -j "$JOBS" --target ges_perfbench
       ;;
     tsan)
       echo "=== [ci] ThreadSanitizer: concurrency|gc|replication|planner|compaction ==="

@@ -28,7 +28,7 @@
 
 namespace ges::replication {
 
-// Point-in-time lag view of one subscriber, exported via ServiceStats.
+// Point-in-time lag view of one subscriber, printed by Server::StatsReport.
 struct ReplicaLagInfo {
   std::string name;
   uint64_t subscriber_id = 0;

@@ -77,7 +77,7 @@ struct AdmissionStats {
   std::atomic<uint64_t> rejected{0};   // queue full
   // Per-class split of `rejected` (short-read vs long-analytic), so an
   // operator can tell "the queue is drowning in longs" from "shorts are
-  // being refused too" at a glance (ServiceStats mirrors these).
+  // being refused too" at a glance (Server::StatsReport prints them).
   std::atomic<uint64_t> rejected_short{0};
   std::atomic<uint64_t> rejected_long{0};
   std::atomic<uint64_t> executed{0};

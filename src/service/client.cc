@@ -277,34 +277,6 @@ bool Client::Execute(uint64_t handle, const std::vector<Value>& params,
   return true;
 }
 
-bool Client::SetParam(const std::string& key, const std::string& value) {
-  WireBuf b;
-  b.PutU8(static_cast<uint8_t>(MsgType::kSetParam));
-  b.PutString(key);
-  b.PutString(value);
-  if (!SendFrame(b.data())) return false;
-  std::string payload;
-  return ReadExpected(MsgType::kParamOk, &payload);
-}
-
-bool Client::GetParam(const std::string& key, std::string* value,
-                      bool* present) {
-  WireBuf b;
-  b.PutU8(static_cast<uint8_t>(MsgType::kGetParam));
-  b.PutString(key);
-  if (!SendFrame(b.data())) return false;
-  std::string payload;
-  if (!ReadExpected(MsgType::kParamValue, &payload)) return false;
-  WireReader in(payload);
-  in.GetU8();  // type
-  bool p = in.GetU8() != 0;
-  std::string v = in.GetString();
-  if (!in.ok()) return Fail("malformed ParamValue");
-  if (present != nullptr) *present = p;
-  if (value != nullptr) *value = std::move(v);
-  return true;
-}
-
 bool Client::RefreshSnapshot(uint64_t* version) {
   WireBuf b;
   b.PutU8(static_cast<uint8_t>(MsgType::kRefreshSnapshot));

@@ -110,8 +110,6 @@ class Client {
     return SendFrame(EncodeExecuteRequest(req));
   }
 
-  bool SetParam(const std::string& key, const std::string& value);
-  bool GetParam(const std::string& key, std::string* value, bool* present);
   // Re-pins the session to the server's current version.
   bool RefreshSnapshot(uint64_t* version = nullptr);
   bool Ping();

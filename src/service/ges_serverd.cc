@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
                    s.message().c_str());
     }
   }
-  std::printf("%s\n", server.stats().ToString().c_str());
+  std::printf("%s\n", server.StatsReport().c_str());
   std::fprintf(stderr, "[ges_serverd] bye\n");
   return 0;
 }

@@ -193,6 +193,14 @@ std::string EncodePrepareOk(const PrepareResult& r) {
   return b.Take();
 }
 
+std::string EncodeError(WireStatus status, std::string_view message) {
+  WireBuf b;
+  b.PutU8(static_cast<uint8_t>(MsgType::kError));
+  b.PutU8(static_cast<uint8_t>(status));
+  b.PutString(message);
+  return b.Take();
+}
+
 std::string EncodePrepareError(WireStatus status, const std::string& message) {
   WireBuf b;
   b.PutU8(static_cast<uint8_t>(MsgType::kPrepareOk));

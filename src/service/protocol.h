@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/value.h"
@@ -34,8 +35,6 @@ enum class MsgType : uint8_t {
   kHello = 1,
   kQuery = 2,
   kCancel = 3,           // body: u64 query_id; no response frame
-  kSetParam = 4,
-  kGetParam = 5,
   kRefreshSnapshot = 6,  // re-pin the session to the current version
   kPing = 7,
   kBye = 8,
@@ -64,9 +63,7 @@ enum class MsgType : uint8_t {
   // server -> client
   kHelloOk = 16,  // body: u64 session_id, u64 snapshot version
   kResult = 17,
-  kError = 18,    // connection-level failure; connection closes after
-  kParamOk = 19,
-  kParamValue = 20,  // body: u8 present, string value
+  kError = 18,    // body: u8 WireStatus, string detail; connection closes
   kSnapshotOk = 21,  // body: u64 snapshot version
   kPong = 22,
   kByeOk = 23,
@@ -220,6 +217,8 @@ std::string EncodeQueryRequest(const QueryRequest& req);
 bool DecodeQueryRequest(WireReader* in, QueryRequest* req);  // after type byte
 std::string EncodeQueryResponse(const QueryResponse& resp);
 bool DecodeQueryResponse(WireReader* in, QueryResponse* resp);
+// A connection-level kError refusal.
+std::string EncodeError(WireStatus status, std::string_view message);
 
 // Prepared statements. Encode* include the MsgType byte; Decode* start
 // after it.

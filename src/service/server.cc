@@ -20,57 +20,6 @@
 
 namespace ges::service {
 
-std::string ServiceStats::ToString() const {
-  std::ostringstream os;
-  os << "connections: accepted=" << connections_accepted.load()
-     << " rejected=" << connections_rejected.load()
-     << " reaped=" << sessions_reaped.load()
-     << "\nqueries: received=" << queries_received.load()
-     << " ok=" << queries_ok.load() << " rejected=" << queries_rejected.load()
-     << " interrupted=" << queries_interrupted.load()
-     << " error=" << queries_error.load()
-     << "\ngc: runs=" << gc_runs.load()
-     << " versions_pruned=" << versions_pruned.load()
-     << " bytes_reclaimed=" << gc_bytes_reclaimed.load()
-     << " overlay_bytes=" << overlay_bytes.load()
-     << " watermark=" << gc_watermark.load()
-     << " watermark_held_by_session=" << watermark_held_by_session.load()
-     << " stalls=" << watermark_stalls.load()
-     << "\ncompaction: runs=" << compaction_runs.load()
-     << " bytes_reclaimed=" << compaction_bytes_reclaimed.load()
-     << " segments=" << compaction_segments.load()
-     << "\ngovernor: killed=" << governor_killed.load()
-     << " shed=" << governor_shed.load()
-     << " global_bytes=" << governor_global_bytes.load()
-     << " peak_global_bytes=" << governor_peak_global_bytes.load()
-     << "\nadmission: rejected_short=" << admission_rejected_short.load()
-     << " rejected_long=" << admission_rejected_long.load()
-     << " queue_depth=" << admission_queue_depth.load()
-     << "\nplan_cache: hits=" << plan_cache_hits.load()
-     << " misses=" << plan_cache_misses.load()
-     << " evictions=" << plan_cache_evictions.load()
-     << "\nintersect: probes=" << intersect_probes.load()
-     << " gallops=" << intersect_gallops.load()
-     << " skipped=" << intersect_skipped.load()
-     << " emitted=" << intersect_emitted.load()
-     << "\nreplication: replicas=" << replicas_connected.load()
-     << " frames_shipped=" << wal_frames_shipped.load()
-     << " bytes_shipped=" << wal_bytes_shipped.load()
-     << " ryw_lagging=" << ryw_lagging.load()
-     << " semisync_timeouts=" << semisync_timeouts.load();
-  {
-    std::lock_guard<std::mutex> lk(replica_mu);
-    for (const auto& r : replicas) {
-      os << "\n  replica \"" << r.name << "\" (sub " << r.subscriber_id
-         << "): applied=v" << r.applied_version
-         << " lag_commits=" << r.lag_commits << " lag_bytes=" << r.lag_bytes
-         << " last_ack_age_s=" << r.last_ack_age_s
-         << (r.connected ? "" : " DISCONNECTED");
-    }
-  }
-  return os.str();
-}
-
 Plan BuildStressExpand(const LdbcContext& ctx, int hops) {
   PlanBuilder b("STRESS" + std::to_string(hops));
   b.ScanByLabel("p", ctx.s.person)
@@ -171,6 +120,75 @@ Server::Server(Graph* graph, const SnbData* data, ServiceConfig config)
 
 Server::~Server() { Drain(/*grace_seconds=*/1.0); }
 
+std::string Server::StatsReport() const {
+  const ServiceStats& st = stats_;
+  uint64_t rejected_short = 0;
+  uint64_t rejected_long = 0;
+  size_t queue_depth = 0;
+  if (admission_ != nullptr) {
+    rejected_short = admission_->stats().rejected_short.load();
+    rejected_long = admission_->stats().rejected_long.load();
+    queue_depth = admission_->queued();
+  }
+  std::vector<replication::ReplicaLagInfo> replicas;
+  uint64_t frames_shipped = 0;
+  uint64_t bytes_shipped = 0;
+  if (shipper_ != nullptr) {
+    replicas = shipper_->LagSnapshot();
+    frames_shipped = shipper_->frames_shipped();
+    bytes_shipped = shipper_->bytes_shipped();
+  }
+  size_t connected = std::count_if(
+      replicas.begin(), replicas.end(),
+      [](const replication::ReplicaLagInfo& r) { return r.connected; });
+
+  std::ostringstream os;
+  os << "connections: accepted=" << st.connections_accepted.load()
+     << " rejected=" << st.connections_rejected.load()
+     << " reaped=" << st.sessions_reaped.load()
+     << "\nqueries: received=" << st.queries_received.load()
+     << " ok=" << st.queries_ok.load()
+     << " rejected=" << st.queries_rejected.load()
+     << " interrupted=" << st.queries_interrupted.load()
+     << " error=" << st.queries_error.load()
+     << "\ngc: runs=" << st.gc_runs.load()
+     << " versions_pruned=" << st.versions_pruned.load()
+     << " bytes_reclaimed=" << st.gc_bytes_reclaimed.load()
+     << " overlay_bytes=" << graph_->OverlayBytes()
+     << " watermark=" << st.gc_watermark.load()
+     << " watermark_held_by_session=" << st.watermark_held_by_session.load()
+     << " stalls=" << st.watermark_stalls.load()
+     << "\ncompaction: runs=" << graph_->compaction_runs_total()
+     << " bytes_reclaimed=" << graph_->compaction_bytes_reclaimed_total()
+     << " segments=" << graph_->CompactedSegments()
+     << "\ngovernor: killed=" << st.governor_killed.load()
+     << " shed=" << st.governor_shed.load()
+     << " global_bytes=" << memory_gauge_.used()
+     << " peak_global_bytes=" << memory_gauge_.peak()
+     << "\nadmission: rejected_short=" << rejected_short
+     << " rejected_long=" << rejected_long << " queue_depth=" << queue_depth
+     << "\nplan_cache: hits=" << plan_cache_.hits()
+     << " misses=" << plan_cache_.misses()
+     << " evictions=" << plan_cache_.evictions()
+     << "\nintersect: probes=" << st.intersect_probes.load()
+     << " gallops=" << st.intersect_gallops.load()
+     << " skipped=" << st.intersect_skipped.load()
+     << " emitted=" << st.intersect_emitted.load()
+     << "\nreplication: replicas=" << connected
+     << " frames_shipped=" << frames_shipped
+     << " bytes_shipped=" << bytes_shipped
+     << " ryw_lagging=" << st.ryw_lagging.load()
+     << " semisync_timeouts=" << st.semisync_timeouts.load();
+  for (const auto& r : replicas) {
+    os << "\n  replica \"" << r.name << "\" (sub " << r.subscriber_id
+       << "): applied=v" << r.applied_version
+       << " lag_commits=" << r.lag_commits << " lag_bytes=" << r.lag_bytes
+       << " last_ack_age_s=" << r.last_ack_age_s
+       << (r.connected ? "" : " DISCONNECTED");
+  }
+  return os.str();
+}
+
 bool Server::Start(std::string* error) {
   auto fail = [&](const std::string& what) {
     if (error != nullptr) *error = what + ": " + ::strerror(errno);
@@ -243,11 +261,8 @@ void Server::AcceptLoop() {
     if (ActiveSessions() >= static_cast<size_t>(config_.max_connections)) {
       // Bounded connection count: refuse with an explicit error frame
       // instead of letting connections pile up half-served.
-      WireBuf b;
-      b.PutU8(static_cast<uint8_t>(MsgType::kError));
-      b.PutU8(static_cast<uint8_t>(WireStatus::kResourceExhausted));
-      b.PutString("connection limit reached");
-      WriteFrame(fd, b.data());
+      WriteFrame(fd, EncodeError(WireStatus::kResourceExhausted,
+                                 "connection limit reached"));
       stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
       // Lingering close: drain the client's (already in-flight) Hello
       // before closing, otherwise the close races the client's write and
@@ -300,24 +315,8 @@ void Server::ReaperLoop() {
     MaybeRunCompaction(&last_compact_ns);
     MaybeRefreshStats(&last_stats_ns);
     CheckWatermarkStall();
-    RefreshReplicationStats();
-    RefreshGovernorStats();
-  }
-}
-
-void Server::RefreshGovernorStats() {
-  stats_.governor_global_bytes.store(memory_gauge_.used(),
-                                     std::memory_order_relaxed);
-  stats_.governor_peak_global_bytes.store(memory_gauge_.peak(),
-                                          std::memory_order_relaxed);
-  if (admission_ != nullptr) {
-    const AdmissionStats& a = admission_->stats();
-    stats_.admission_rejected_short.store(a.rejected_short.load(),
-                                          std::memory_order_relaxed);
-    stats_.admission_rejected_long.store(a.rejected_long.load(),
-                                         std::memory_order_relaxed);
-    stats_.admission_queue_depth.store(admission_->queued(),
-                                       std::memory_order_relaxed);
+    stats_.governor_peak_global_bytes.store(memory_gauge_.peak(),
+                                            std::memory_order_relaxed);
   }
 }
 
@@ -390,22 +389,6 @@ void Server::MaybeRefreshStats(int64_t* last_stats_ns) {
   graph_->RebuildStats();
 }
 
-void Server::RefreshReplicationStats() {
-  if (shipper_ == nullptr) return;
-  std::vector<replication::ReplicaLagInfo> lag = shipper_->LagSnapshot();
-  uint64_t connected = 0;
-  for (const auto& r : lag) {
-    if (r.connected) ++connected;
-  }
-  stats_.replicas_connected.store(connected, std::memory_order_relaxed);
-  stats_.wal_frames_shipped.store(shipper_->frames_shipped(),
-                                  std::memory_order_relaxed);
-  stats_.wal_bytes_shipped.store(shipper_->bytes_shipped(),
-                                 std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(stats_.replica_mu);
-  stats_.replicas = std::move(lag);
-}
-
 void Server::ReapIdleSessions() {
   if (config_.idle_timeout_seconds <= 0) return;
   int64_t now = QueryContext::NowNanos();
@@ -446,24 +429,9 @@ void Server::MaybeRunGc(int64_t* last_gc_ns) {
   stats_.gc_bytes_reclaimed.fetch_add(gc.bytes_reclaimed,
                                       std::memory_order_relaxed);
   stats_.gc_watermark.store(gc.watermark, std::memory_order_relaxed);
-  stats_.overlay_bytes.store(graph_->OverlayBytes(),
-                             std::memory_order_relaxed);
-}
-
-void Server::MirrorCompactionStats() {
-  stats_.compaction_runs.store(graph_->compaction_runs_total(),
-                               std::memory_order_relaxed);
-  stats_.compaction_bytes_reclaimed.store(
-      graph_->compaction_bytes_reclaimed_total(), std::memory_order_relaxed);
-  stats_.compaction_segments.store(graph_->CompactedSegments(),
-                                   std::memory_order_relaxed);
 }
 
 void Server::MaybeRunCompaction(int64_t* last_compact_ns) {
-  // Mirror the graph's lifetime compaction totals into the stats snapshot
-  // every reaper tick, so passes triggered elsewhere (snapshot load, admin
-  // paths, tests sharing the graph) show up without waiting for our timer.
-  MirrorCompactionStats();
   if (config_.compact_interval_seconds <= 0) return;
   int64_t now = QueryContext::NowNanos();
   if (now - *last_compact_ns <
@@ -479,16 +447,12 @@ void Server::MaybeRunCompaction(int64_t* last_compact_ns) {
   // Run the pass off the reaper thread as a fire-and-forget scheduler task:
   // it lands behind queued query morsels (de-facto low priority) and the
   // reaper keeps its 50 ms cadence for session/GC work. Drain() waits for
-  // the inflight flag, so the captured `this` outlives the task.
+  // the inflight flag, so the graph is not torn down under the task.
   CompactionOptions opts;
   opts.trigger_frag_pct = config_.compact_trigger_frag_pct;
   std::shared_ptr<std::atomic<bool>> inflight = compaction_inflight_;
-  TaskScheduler::Global().Submit([this, opts, inflight] {
-    graph_->CompactRelations(opts);
-    // Re-mirror here, not just on the next tick: Drain() may join the
-    // reaper while this pass is still running, and the final totals must
-    // not be lost.
-    MirrorCompactionStats();
+  TaskScheduler::Global().Submit([graph = graph_, opts, inflight] {
+    graph->CompactRelations(opts);
     inflight->store(false, std::memory_order_release);
   });
 }
@@ -601,11 +565,9 @@ void Server::HandleConnection(std::shared_ptr<Session> session) {
     if (r == ReadResult::kTooLarge) {
       // The oversized frame's bytes were not consumed, so the stream is
       // still coherent enough to refuse cleanly before disconnecting.
-      WireBuf b;
-      b.PutU8(static_cast<uint8_t>(MsgType::kError));
-      b.PutU8(static_cast<uint8_t>(WireStatus::kInvalidArgument));
-      b.PutString("frame exceeds the maximum frame size");
-      SendToSession(session.get(), b.data());
+      SendToSession(session.get(),
+                    EncodeError(WireStatus::kInvalidArgument,
+                                "frame exceeds the maximum frame size"));
       break;
     }
     if (r != ReadResult::kOk) break;
@@ -644,12 +606,9 @@ bool Server::HandleFrame(const std::shared_ptr<Session>& session,
   // Malformed input never goes unanswered: the client gets an explicit
   // INVALID_ARGUMENT error frame before the server closes the connection
   // (the stream position is unknowable after a bad body).
-  auto refuse = [&](const std::string& what) {
-    WireBuf b;
-    b.PutU8(static_cast<uint8_t>(MsgType::kError));
-    b.PutU8(static_cast<uint8_t>(WireStatus::kInvalidArgument));
-    b.PutString(what);
-    SendToSession(session.get(), b.data());
+  auto refuse = [&](std::string_view what) {
+    SendToSession(session.get(),
+                  EncodeError(WireStatus::kInvalidArgument, what));
     return false;
   };
   MsgType type = static_cast<MsgType>(in.GetU8());
@@ -701,29 +660,6 @@ bool Server::HandleFrame(const std::shared_ptr<Session>& session,
       return HandleSubscribe(session, &in);
     case MsgType::kReplicaAck:
       return refuse("ack frame outside an active subscription");
-    case MsgType::kSetParam: {
-      std::string key = in.GetString();
-      std::string value = in.GetString();
-      if (!in.ok()) return refuse("malformed set-param frame");
-      {
-        std::lock_guard<std::mutex> lk(session->param_mu);
-        session->params[std::move(key)] = std::move(value);
-      }
-      WireBuf b;
-      b.PutU8(static_cast<uint8_t>(MsgType::kParamOk));
-      return SendToSession(session.get(), b.data());
-    }
-    case MsgType::kGetParam: {
-      std::string key = in.GetString();
-      if (!in.ok()) return refuse("malformed get-param frame");
-      WireBuf b;
-      b.PutU8(static_cast<uint8_t>(MsgType::kParamValue));
-      std::lock_guard<std::mutex> lk(session->param_mu);
-      auto it = session->params.find(key);
-      b.PutU8(it != session->params.end() ? 1 : 0);
-      b.PutString(it != session->params.end() ? it->second : std::string());
-      return SendToSession(session.get(), b.data());
-    }
     case MsgType::kRefreshSnapshot: {
       // Register the fresh version before dropping the old pin
       // (RepinSession): the session is never unprotected, so a concurrent
@@ -767,25 +703,15 @@ bool Server::HandleFrame(const std::shared_ptr<Session>& session,
       SendToSession(session.get(), b.data());
       return false;
     }
-    default: {
-      WireBuf b;
-      b.PutU8(static_cast<uint8_t>(MsgType::kError));
-      b.PutU8(static_cast<uint8_t>(WireStatus::kInvalidArgument));
-      b.PutString("unexpected message type");
-      SendToSession(session.get(), b.data());
-      return false;
-    }
+    default:
+      return refuse("unexpected message type");
   }
 }
 
 bool Server::HandleSubscribe(const std::shared_ptr<Session>& session,
                              WireReader* in) {
-  auto refuse = [&](WireStatus status, const std::string& what) {
-    WireBuf b;
-    b.PutU8(static_cast<uint8_t>(MsgType::kError));
-    b.PutU8(static_cast<uint8_t>(status));
-    b.PutString(what);
-    SendToSession(session.get(), b.data());
+  auto refuse = [&](WireStatus status, std::string_view what) {
+    SendToSession(session.get(), EncodeError(status, what));
     return false;
   };
   uint32_t proto = in->GetU32();
@@ -930,16 +856,12 @@ Status Server::PrepareStatement(const std::string& normalized_text,
   if (auto cached = plan_cache_.Lookup(normalized_text, epoch)) {
     *out = std::move(cached);
     if (cache_hit != nullptr) *cache_hit = true;
-    SyncPlanCacheStats();
     return Status::OK();
   }
   if (cache_hit != nullptr) *cache_hit = false;
   Plan compiled;
   Status s = CompileTemplate(normalized_text, *graph_, hints, &compiled);
-  if (!s.ok()) {
-    SyncPlanCacheStats();
-    return s;
-  }
+  if (!s.ok()) return s;
   auto plan = std::make_shared<PreparedPlan>();
   plan->normalized = normalized_text;
   plan->default_params = hints;
@@ -956,16 +878,7 @@ Status Server::PrepareStatement(const std::string& normalized_text,
   plan->plan = std::move(compiled);
   *out = plan;
   plan_cache_.Insert(std::move(plan));
-  SyncPlanCacheStats();
   return Status::OK();
-}
-
-void Server::SyncPlanCacheStats() {
-  stats_.plan_cache_hits.store(plan_cache_.hits(), std::memory_order_relaxed);
-  stats_.plan_cache_misses.store(plan_cache_.misses(),
-                                 std::memory_order_relaxed);
-  stats_.plan_cache_evictions.store(plan_cache_.evictions(),
-                                    std::memory_order_relaxed);
 }
 
 void Server::AdmitQuery(const std::shared_ptr<Session>& session,
@@ -1175,34 +1088,7 @@ QueryResponse Server::ExecuteQuery(Session* session, const QueryRequest& req,
       } else {
         plan = BuildStressExpand(ldbc_, req.number);
       }
-      ExecOptions opts;
-      opts.intra_query_threads = config_.intra_query_threads;
-      opts.collect_stats = false;
-      opts.context = ctx;
-      Executor exec(config_.exec_mode, opts);
-      GraphView view(graph_, snapshot);
-      Timer exec_t;
-      QueryResult result = exec.Run(plan, view);
-      resp.exec_millis = exec_t.ElapsedMillis();
-      // Query-wide intersection counters are collected even with per-op
-      // stats off; aggregate them so galloping behaviour stays observable
-      // in production (ServiceStats::ToString).
-      if (result.stats.intersect.Any()) {
-        stats_.intersect_probes.fetch_add(result.stats.intersect.probes,
-                                          std::memory_order_relaxed);
-        stats_.intersect_gallops.fetch_add(result.stats.intersect.gallops,
-                                           std::memory_order_relaxed);
-        stats_.intersect_skipped.fetch_add(result.stats.intersect.skipped,
-                                           std::memory_order_relaxed);
-        stats_.intersect_emitted.fetch_add(result.stats.intersect.emitted,
-                                           std::memory_order_relaxed);
-      }
-      if (result.interrupted != InterruptReason::kNone) {
-        resp.status = StatusOfInterrupt(result.interrupted);
-        resp.message = InterruptMessage(result.interrupted, ctx);
-        return resp;
-      }
-      resp.table = std::move(result.table);
+      RunPlan(plan, /*tmpl=*/nullptr, snapshot, ctx, &resp);
       return resp;
     }
     case QueryKind::kIU: {
@@ -1416,35 +1302,45 @@ QueryResponse Server::ExecutePrepared(Session* session,
     return resp;
   }
   resp.bind_millis = bind_t.ElapsedMillis();
+  RunPlan(bound, tmpl.get(), snapshot, ctx, &resp);
+  return resp;
+}
 
+void Server::RunPlan(const Plan& plan, const PreparedPlan* tmpl,
+                     Version snapshot, QueryContext* ctx,
+                     QueryResponse* resp) {
   ExecOptions opts;
   opts.intra_query_threads = config_.intra_query_threads;
   opts.collect_stats = false;
   opts.context = ctx;
-  opts.column_stats = &tmpl->column_stats;  // tmpl outlives the run
-  opts.plan_is_optimized = tmpl->optimized;
+  if (tmpl != nullptr) {
+    opts.column_stats = &tmpl->column_stats;  // tmpl outlives the run
+    opts.plan_is_optimized = tmpl->optimized;
+  }
   Executor exec(config_.exec_mode, opts);
   GraphView view(graph_, snapshot);
   Timer exec_t;
-  QueryResult result = exec.Run(bound, view);
-  resp.exec_millis = exec_t.ElapsedMillis();
-  if (result.stats.intersect.Any()) {
-    stats_.intersect_probes.fetch_add(result.stats.intersect.probes,
-                                      std::memory_order_relaxed);
-    stats_.intersect_gallops.fetch_add(result.stats.intersect.gallops,
+  QueryResult result = exec.Run(plan, view);
+  resp->exec_millis = exec_t.ElapsedMillis();
+  // Query-wide intersection counters are collected even with per-op stats
+  // off; aggregate them so galloping behaviour stays observable in
+  // production (StatsReport).
+  const IntersectOpStats& isect = result.stats.intersect;
+  if (isect.Any()) {
+    stats_.intersect_probes.fetch_add(isect.probes, std::memory_order_relaxed);
+    stats_.intersect_gallops.fetch_add(isect.gallops,
                                        std::memory_order_relaxed);
-    stats_.intersect_skipped.fetch_add(result.stats.intersect.skipped,
+    stats_.intersect_skipped.fetch_add(isect.skipped,
                                        std::memory_order_relaxed);
-    stats_.intersect_emitted.fetch_add(result.stats.intersect.emitted,
+    stats_.intersect_emitted.fetch_add(isect.emitted,
                                        std::memory_order_relaxed);
   }
   if (result.interrupted != InterruptReason::kNone) {
-    resp.status = StatusOfInterrupt(result.interrupted);
-    resp.message = InterruptMessage(result.interrupted, ctx);
-    return resp;
+    resp->status = StatusOfInterrupt(result.interrupted);
+    resp->message = InterruptMessage(result.interrupted, ctx);
+    return;
   }
-  resp.table = std::move(result.table);
-  return resp;
+  resp->table = std::move(result.table);
 }
 
 void Server::Drain(double grace_seconds) {
@@ -1490,8 +1386,8 @@ void Server::Drain(double grace_seconds) {
   stop_reaper_.store(true, std::memory_order_release);
   if (reaper_.joinable()) reaper_.join();
   // A compaction pass submitted to the shared TaskScheduler may still be
-  // running; it captures `this` (graph_, stats_), so wait it out before
-  // the server is torn down. Passes are short (merge + pointer swap).
+  // running on graph_, which need only outlive the server, so wait it out.
+  // Passes are short (merge + pointer swap).
   while (compaction_inflight_->load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

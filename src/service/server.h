@@ -133,6 +133,10 @@ struct ServiceConfig {
   double stats_refresh_seconds = 5.0;
 };
 
+// Counters the server itself increments. Values another subsystem owns
+// (graph overlay and compaction totals, the memory gauge, admission and
+// plan-cache counters, replication shipping) are read from that owner by
+// Server::StatsReport, not copied here.
 struct ServiceStats {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> connections_rejected{0};
@@ -143,11 +147,10 @@ struct ServiceStats {
   std::atomic<uint64_t> queries_error{0};
   std::atomic<uint64_t> sessions_reaped{0};  // idle-timeout disconnects
 
-  // MVCC GC (reaper-driven; gauges are "as of the last GC pass").
+  // The reaper's MVCC GC passes (gauges are "as of the last GC pass").
   std::atomic<uint64_t> gc_runs{0};
   std::atomic<uint64_t> versions_pruned{0};     // chain entries reclaimed
   std::atomic<uint64_t> gc_bytes_reclaimed{0};  // bytes those entries held
-  std::atomic<uint64_t> overlay_bytes{0};       // gauge: live overlay bytes
   std::atomic<uint64_t> gc_watermark{0};        // gauge: last prune watermark
   // Gauge: id of a session that has held the oldest pinned snapshot for
   // longer than watermark_alert_seconds while updates kept committing
@@ -156,34 +159,14 @@ struct ServiceStats {
   std::atomic<uint64_t> watermark_held_by_session{0};
   std::atomic<uint64_t> watermark_stalls{0};
 
-  // Background compaction (DESIGN.md §16). Mirrors of the graph's
-  // lifetime totals, refreshed every reaper tick: `compaction_runs` and
-  // `compaction_bytes_reclaimed` count all passes since startup (however
-  // triggered), `compaction_segments` is a gauge of installed segments.
-  std::atomic<uint64_t> compaction_runs{0};
-  std::atomic<uint64_t> compaction_bytes_reclaimed{0};
-  std::atomic<uint64_t> compaction_segments{0};
-
   // Resource governor (DESIGN.md §15). `governor_killed` counts queries
   // the governor terminated (budget overruns, watchdog force-cancels,
   // admin kills); `governor_shed` counts admission refusals at the memory
-  // watermark. The byte gauges mirror the process-wide GlobalMemoryGauge
-  // on the reaper cadence.
+  // watermark.
   std::atomic<uint64_t> governor_killed{0};
   std::atomic<uint64_t> governor_shed{0};
-  std::atomic<uint64_t> governor_global_bytes{0};       // gauge: in use now
-  std::atomic<uint64_t> governor_peak_global_bytes{0};  // gauge: lifetime peak
-  // Admission per-class detail mirrored from AdmissionStats (reaper
-  // cadence), plus the current queue depth.
-  std::atomic<uint64_t> admission_rejected_short{0};
-  std::atomic<uint64_t> admission_rejected_long{0};
-  std::atomic<uint64_t> admission_queue_depth{0};
-
-  // Plan cache (gauges mirrored from the shared PlanCache after every
-  // prepare / prepared execution).
-  std::atomic<uint64_t> plan_cache_hits{0};
-  std::atomic<uint64_t> plan_cache_misses{0};
-  std::atomic<uint64_t> plan_cache_evictions{0};
+  // Reaper-cadence copy of memory_gauge().peak(), kept for perfbench.
+  std::atomic<uint64_t> governor_peak_global_bytes{0};
 
   // WCOJ intersection counters aggregated across all read queries
   // (IntersectExpand + galloping membership probes; DESIGN.md §12).
@@ -192,17 +175,9 @@ struct ServiceStats {
   std::atomic<uint64_t> intersect_skipped{0};
   std::atomic<uint64_t> intersect_emitted{0};
 
-  // Replication (primary side). Counters are gauges the reaper refreshes
-  // from the log shipper; `replicas` carries per-replica lag detail.
-  std::atomic<uint64_t> replicas_connected{0};
-  std::atomic<uint64_t> wal_frames_shipped{0};
-  std::atomic<uint64_t> wal_bytes_shipped{0};
+  // Replication (primary side).
   std::atomic<uint64_t> ryw_lagging{0};        // reads bounced with LAGGING
   std::atomic<uint64_t> semisync_timeouts{0};  // IU acks that timed out
-  mutable std::mutex replica_mu;
-  std::vector<replication::ReplicaLagInfo> replicas;  // guarded by replica_mu
-
-  std::string ToString() const;
 };
 
 // A deliberately heavy IC5-class plan used by cancellation tests and the
@@ -248,7 +223,14 @@ class Server {
   const ServiceStats& stats() const { return stats_; }
   const QueryCostModel& cost_model() const { return cost_model_; }
   const AdmissionQueue& admission() const { return *admission_; }
+  const PlanCache& plan_cache() const { return plan_cache_; }
+  const GlobalMemoryGauge& memory_gauge() const { return memory_gauge_; }
   const ServiceConfig& config() const { return config_; }
+
+  // Human-readable dump of every service statistic: the server's own
+  // counters plus the values their owners hold, read now. Safe before
+  // Start and after Drain.
+  std::string StatsReport() const;
 
  private:
   struct Session {
@@ -268,9 +250,6 @@ class Server {
     std::atomic<bool> done{false};    // connection thread finished
 
     std::mutex write_mu;  // serializes response frames on fd
-
-    std::mutex param_mu;
-    std::unordered_map<std::string, std::string> params;
 
     // One admitted-but-unanswered query, as seen by control frames
     // (kCancel/kKillQuery) and the governor's watchdog sweep.
@@ -318,9 +297,6 @@ class Server {
   // Cancels every in-flight query (any session) with this client-assigned
   // id; returns how many were cancelled. Backs the kKillQuery admin frame.
   uint32_t KillQuery(uint64_t query_id);
-  // Mirrors the global memory gauge + admission counters into
-  // ServiceStats (reaper cadence).
-  void RefreshGovernorStats();
   // Reaper-thread helpers: idle-session reaping (only when
   // idle_timeout_seconds > 0), the GC driver (interval + byte trigger),
   // and the watermark-stall detector. All run on the reaper cadence.
@@ -330,14 +306,9 @@ class Server {
   // Graph::CompactRelations to the shared TaskScheduler as a low-priority
   // job, at most one in flight.
   void MaybeRunCompaction(int64_t* last_compact_ns);
-  // Copies the graph's lifetime compaction totals into stats_ (reaper tick
-  // + end of every background pass).
-  void MirrorCompactionStats();
   // Reaper-thread statistics refresh (stats_refresh_seconds cadence).
   void MaybeRefreshStats(int64_t* last_stats_ns);
   void CheckWatermarkStall();
-  // Copies the shipper's per-replica lag view into ServiceStats.
-  void RefreshReplicationStats();
   // Installs `fresh` (an already-registered handle) as the session's pin
   // under snap_mu, refusing to move the snapshot backwards; returns the
   // session's resulting snapshot version.
@@ -371,12 +342,16 @@ class Server {
                           const std::vector<Value>& hints,
                           std::shared_ptr<const PreparedPlan>* out,
                           bool* cache_hit);
-  // Mirrors the PlanCache counters into ServiceStats.
-  void SyncPlanCacheStats();
   QueryResponse ExecuteQuery(Session* session, const QueryRequest& req,
                              Version snapshot, QueryContext* ctx);
   QueryResponse ExecutePrepared(Session* session, const QueryRequest& req,
                                 Version snapshot, QueryContext* ctx);
+  // The tail both paths share: runs `plan` at `snapshot` (with the
+  // template's column stats when `tmpl` is set), folds the intersection
+  // counters into stats_, and fills exec_millis plus either the table or
+  // the interrupt status of `*resp`.
+  void RunPlan(const Plan& plan, const PreparedPlan* tmpl, Version snapshot,
+               QueryContext* ctx, QueryResponse* resp);
   // Writes a frame honoring session->closed / write_mu.
   bool SendToSession(Session* session, const std::string& payload);
   void CancelInflight(Session* session);

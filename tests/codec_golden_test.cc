@@ -117,6 +117,11 @@ TEST(CodecGoldenTest, ResultFrame) {
             "110a000000000000000a04000000736865640000000000000000000000000000"
             "0000000000000000000000000000000000000000000000000000000000000000"
             "000000000000000000000028000000");
+
+  // A connection-level refusal, as the server sends for an unknown type.
+  EXPECT_EQ(Hex(service::EncodeError(service::WireStatus::kInvalidArgument,
+                                     "unexpected message type")),
+            "120217000000756e6578706563746564206d6573736167652074797065");
 }
 
 // --- WAL records -------------------------------------------------------------

@@ -4,7 +4,7 @@
 // concurrent churn storm and the lock-free swap readers the TSan flavor
 // runs, the storage-accounting regression (update churn must be visible
 // to the gauges), and the service-level driver (reaper cadence + stats
-// mirroring).
+// report).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "service/client.h"
 #include "service/server.h"
 #include "storage/graph.h"
 #include "tests/test_util.h"
@@ -583,9 +584,25 @@ TEST(CompactionTest, MemoryGaugeTracksRssDeltaOnChurn) {
 #endif
 }
 
+// The report's compaction line, built from the graph that owns the totals.
+std::string CompactionLine(const Graph& g) {
+  return "compaction: runs=" + std::to_string(g.compaction_runs_total()) +
+         " bytes_reclaimed=" +
+         std::to_string(g.compaction_bytes_reclaimed_total()) +
+         " segments=" + std::to_string(g.CompactedSegments());
+}
+
+// The line of `report` that starts with `prefix` ("" if none does).
+std::string ReportLine(const std::string& report, const std::string& prefix) {
+  // Padding with a newline makes `at` the prefix's offset in `report`.
+  size_t at = ("\n" + report).find("\n" + prefix);
+  if (at == std::string::npos) return "";
+  return report.substr(at, report.find('\n', at) - at);
+}
+
 // Service driver: with compact_interval_seconds set, the reaper submits
-// passes through the shared TaskScheduler and mirrors the graph's
-// compaction totals into ServiceStats.
+// passes through the shared TaskScheduler; the stats report shows the
+// graph's compaction totals.
 TEST(CompactionServiceTest, ReaperDrivesCompactionAndExportsStats) {
   testutil::SnbFixture fx(/*sf=*/0.01, /*seed=*/7);
   // Churn so the trigger has something to select.
@@ -599,23 +616,78 @@ TEST(CompactionServiceTest, ReaperDrivesCompactionAndExportsStats) {
   bool compacted = false;
   for (int i = 0; i < 100 && !compacted; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    compacted = server.stats().compaction_runs.load() > 0;
+    compacted = fx.graph.compaction_runs_total() > 0;
   }
   EXPECT_TRUE(compacted) << "reaper never drove a compaction pass";
   server.Drain(1.0);
-  EXPECT_EQ(server.stats().compaction_segments.load(),
-            fx.graph.CompactedSegments());
-  EXPECT_EQ(server.stats().compaction_runs.load(),
-            fx.graph.compaction_runs_total());
+  EXPECT_EQ(ReportLine(server.StatsReport(), "compaction:"),
+            CompactionLine(fx.graph));
 }
 
-// ServiceStats::ToString carries the compaction line (ops debugging
-// reads this dump; a counter that exists but is not printed is lost).
+// The stats report carries the compaction line (ops debugging reads this
+// dump; a counter that exists but is not printed is lost).
 TEST(CompactionServiceTest, StatsDumpHasCompactionLine) {
   TinyGraph tiny;
   SnbData empty;
   service::Server server(tiny.graph.get(), &empty, {});
-  EXPECT_NE(server.stats().ToString().find("compaction:"), std::string::npos);
+  EXPECT_NE(server.StatsReport().find("compaction:"), std::string::npos);
+}
+
+// The report reads each statistic from its owner as it renders, so a
+// compaction pass run from outside the server shows at once, and so does
+// one run after Drain has stopped the reaper.
+TEST(ServiceStatsTest, ReportIsCurrentWithoutAReaperTick) {
+  RingGraph ring(512);
+  SnbData empty;
+  service::ServiceConfig config;
+  config.gc_interval_seconds = 0;  // background compaction is off too
+  config.gc_trigger_bytes = 0;
+  config.query_workers = 1;
+  config.queue_capacity = 1;
+  service::Server server(ring.graph.get(), &empty, config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  for (int i = 0; i < 256; ++i) ring.Churn(i, /*fan=*/2, i, /*remove=*/false);
+  CompactionOptions force;
+  force.force = true;
+  ring.graph->CompactRelations(force);
+  ASSERT_EQ(ring.graph->compaction_runs_total(), 1u);
+  ASSERT_GT(ring.graph->CompactedSegments(), 0u);
+  EXPECT_EQ(ReportLine(server.StatsReport(), "compaction:"),
+            CompactionLine(*ring.graph));
+
+  // Pipelined sleeps overflow the one-slot queue, so the admission line
+  // has refusals to show.
+  service::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()))
+      << client.last_error();
+  constexpr int kQueries = 4;
+  for (int i = 0; i < kQueries; ++i) {
+    service::QueryRequest req;
+    req.query_id = client.AllocQueryId();
+    req.kind = service::QueryKind::kSleep;
+    req.seed = 20;  // ms
+    ASSERT_TRUE(client.Send(req));
+  }
+  for (int i = 0; i < kQueries; ++i) {
+    service::QueryResponse resp;
+    ASSERT_TRUE(client.ReadResponse(&resp)) << client.last_error();
+  }
+  client.Close();
+
+  server.Drain(1.0);
+  ring.Churn(300, /*fan=*/2, 300, /*remove=*/false);
+  ring.graph->CompactRelations(force);
+  EXPECT_EQ(ReportLine(server.StatsReport(), "compaction:"),
+            CompactionLine(*ring.graph));
+  const service::AdmissionStats& adm = server.admission().stats();
+  EXPECT_GT(adm.rejected.load(), 0u);
+  EXPECT_EQ(ReportLine(server.StatsReport(), "admission:"),
+            "admission: rejected_short=" +
+                std::to_string(adm.rejected_short.load()) +
+                " rejected_long=" + std::to_string(adm.rejected_long.load()) +
+                " queue_depth=" + std::to_string(server.admission().queued()));
 }
 
 }  // namespace

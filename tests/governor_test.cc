@@ -178,11 +178,11 @@ TEST(GovernorServiceTest, HogKilledAtQueryMemoryLimit) {
   EXPECT_GE(resp.peak_memory_bytes, 2ull << 20);
 }
 
-// Polls the reaper-mirrored global gauge until it reaches `floor` bytes.
+// Polls the server's global gauge until it reaches `floor` bytes.
 bool WaitForGlobalBytes(Server* server, size_t floor, double timeout_ms) {
   Timer t;
   while (t.ElapsedMillis() < timeout_ms) {
-    if (server->stats().governor_global_bytes.load() >= floor) return true;
+    if (server->memory_gauge().used() >= floor) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return false;
@@ -205,7 +205,7 @@ TEST(GovernorServiceTest, SoftWatermarkShedsLongQueriesNotShorts) {
   Timer window;
   ASSERT_TRUE(hog.Send(hreq));
   ASSERT_TRUE(WaitForGlobalBytes(server.get(), 34ull << 20, 1000.0))
-      << "hog charge never became visible in governor_global_bytes";
+      << "hog charge never became visible in the global gauge";
 
   // Long class ("HOG" carries the long prior) is refused with the hint...
   Client probe;
@@ -457,7 +457,7 @@ TEST(GovernorSoakTest, HogMixPlateausBelowWatermarkWhileShortsFlow) {
 
   // The plateau: concurrent charge never crossed the watermark (the tame
   // hog plus the greedy hog's pre-kill peak sit well under it).
-  uint64_t peak = server.stats().governor_peak_global_bytes.load();
+  uint64_t peak = server.memory_gauge().peak();
   EXPECT_GT(peak, 16ull << 20) << "gauge never saw the hogs";
   EXPECT_LE(peak, config.memory_watermark_bytes)
       << "process memory must plateau below the watermark";

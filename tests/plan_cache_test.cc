@@ -127,7 +127,7 @@ TEST(PreparedStatementTest, PrepareExecuteRoundTrip) {
   ASSERT_EQ(resp.status, WireStatus::kOk) << resp.message;
   // Prepare populated the cache, so the first execution already hits.
   EXPECT_EQ(resp.plan_cache_hit, 1);
-  EXPECT_GE(server->stats().plan_cache_hits.load(), 1u);
+  EXPECT_GE(server->plan_cache().hits(), 1u);
 
   // Re-binding the same handle with a different parameter works.
   QueryResponse other;
@@ -178,7 +178,7 @@ TEST(PreparedStatementTest, CrossSessionTemplateReuse) {
                              &b));
   EXPECT_TRUE(b.cache_hit);
   EXPECT_EQ(a.normalized, b.normalized);
-  EXPECT_GE(server->stats().plan_cache_hits.load(), 1u);
+  EXPECT_GE(server->plan_cache().hits(), 1u);
 
   // Each session's zero-binding default is its OWN prepare-time literal,
   // not whichever literal populated the shared template first.
@@ -323,7 +323,7 @@ TEST(PreparedStatementTest, EvictedTemplateIsReplannedTransparently) {
   PrepareResult seek;
   ASSERT_TRUE(client.Prepare("MATCH (p:PERSON) WHERE id(p) = $0 RETURN p.id",
                              &seek));
-  EXPECT_GE(server->stats().plan_cache_evictions.load(), 1u);
+  EXPECT_GE(server->plan_cache().evictions(), 1u);
 
   // The evicted handle still executes correctly (cache miss, re-plan).
   QueryResponse resp;
@@ -345,7 +345,7 @@ TEST(PreparedStatementTest, CacheDisabledStillExecutes) {
   ASSERT_TRUE(client.Execute(pr.handle, {Value::Int(0)}, &resp));
   EXPECT_EQ(resp.status, WireStatus::kOk) << resp.message;
   EXPECT_EQ(resp.plan_cache_hit, 0);
-  EXPECT_EQ(server->stats().plan_cache_hits.load(), 0u);
+  EXPECT_EQ(server->plan_cache().hits(), 0u);
 }
 
 // The acceptance differential: for every execution mode, a cached

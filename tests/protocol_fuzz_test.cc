@@ -118,13 +118,13 @@ TEST_F(FuzzServer, EmptyAndTruncatedBodiesGetErrorFrames) {
   std::vector<Case> cases;
   cases.push_back({"empty frame", ""});
   {
-    WireBuf b;  // kSetParam with no key/value
-    b.PutU8(static_cast<uint8_t>(MsgType::kSetParam));
+    WireBuf b;  // type 4 (the retired set-param) with no key/value
+    b.PutU8(4);
     cases.push_back({"truncated set-param", b.Take()});
   }
   {
-    WireBuf b;  // kGetParam with a length-prefixed string cut short
-    b.PutU8(static_cast<uint8_t>(MsgType::kGetParam));
+    WireBuf b;  // type 5 (the retired get-param), string cut short
+    b.PutU8(5);
     b.PutU32(100);  // claims a 100-byte key, provides none
     cases.push_back({"lying get-param", b.Take()});
   }

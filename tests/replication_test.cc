@@ -418,21 +418,25 @@ TEST(ReplicationTest, PerReplicaLagExportedInStats) {
   Replica replica(ReplicaOpts(primary.port(), "lag-probe"));
   ASSERT_TRUE(replica.Start().ok()) << replica.last_error();
 
-  // The reaper refreshes replication stats on its 50ms cadence; the
-  // heartbeat/ack loop keeps last-ack age fresh.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  EXPECT_EQ(primary.stats().replicas_connected.load(), 1u);
-  {
-    std::lock_guard<std::mutex> lk(primary.stats().replica_mu);
-    ASSERT_EQ(primary.stats().replicas.size(), 1u);
-    const auto& info = primary.stats().replicas[0];
-    EXPECT_EQ(info.name, "lag-probe");
-    EXPECT_TRUE(info.connected);
-    EXPECT_EQ(info.applied_version, primary_graph.CurrentVersion());
-    EXPECT_EQ(info.lag_commits, 0u);
-    EXPECT_LT(info.last_ack_age_s, 5.0);
+  // The shipper owns the lag view; wait until the replica's first ack
+  // (the heartbeat/ack loop then keeps last-ack age fresh).
+  std::vector<replication::ReplicaLagInfo> lag;
+  for (int i = 0; i < 500; ++i) {
+    lag = primary.shipper()->LagSnapshot();
+    if (lag.size() == 1 && lag[0].connected &&
+        lag[0].applied_version == primary_graph.CurrentVersion()) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  std::string rendered = primary.stats().ToString();
+  ASSERT_EQ(lag.size(), 1u);
+  const auto& info = lag[0];
+  EXPECT_EQ(info.name, "lag-probe");
+  EXPECT_TRUE(info.connected);
+  EXPECT_EQ(info.applied_version, primary_graph.CurrentVersion());
+  EXPECT_EQ(info.lag_commits, 0u);
+  EXPECT_LT(info.last_ack_age_s, 5.0);
+  std::string rendered = primary.StatsReport();
   EXPECT_NE(rendered.find("replication:"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("lag-probe"), std::string::npos) << rendered;
 

@@ -76,16 +76,6 @@ TEST(ServiceSessionTest, HelloPingParamsSnapshot) {
   EXPECT_GT(client.session_id(), 0u);
   EXPECT_TRUE(client.Ping());
 
-  // Session parameter store round-trip.
-  std::string value;
-  bool present = true;
-  EXPECT_TRUE(client.GetParam("answer", &value, &present));
-  EXPECT_FALSE(present);
-  EXPECT_TRUE(client.SetParam("answer", "42"));
-  EXPECT_TRUE(client.GetParam("answer", &value, &present));
-  EXPECT_TRUE(present);
-  EXPECT_EQ(value, "42");
-
   // The pinned snapshot matches the graph's version at connect time and
   // refresh re-pins to current.
   uint64_t refreshed = 0;

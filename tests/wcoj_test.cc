@@ -505,7 +505,7 @@ TEST(WcojServiceTest, BiQueriesOverTheWire) {
   // The fused BI runs push intersection counters into the service stats.
   const service::ServiceStats& st = server->stats();
   EXPECT_GT(st.intersect_probes.load(), 0u);
-  EXPECT_NE(st.ToString().find("intersect:"), std::string::npos);
+  EXPECT_NE(server->StatsReport().find("intersect:"), std::string::npos);
 
   client.Close();
   server->Drain();
