@@ -6,16 +6,17 @@
 #   2. GES_SANITIZE=thread    — concurrency / gc / replication / planner /
 #      compaction labels (the replication stream + semisync ack path, the
 #      shared plan cache's lookup/insert/invalidate races, and the
-#      delta-merge segment swap under churn must be TSan-clean)
+#      compaction's level install under churn must be TSan-clean)
 #   3. GES_SANITIZE=undefined — kernels / executor / durability labels
 #      plus one pass of bench_filter_selectivity (GES_ITERS=1): the shared
 #      byte codec (common/wire.h: wire frames, WAL records, snapshot file,
 #      covered by the serialization, snapshot-integrity, WAL and
 #      golden-byte tests) and CRC32C are bit-twiddling-heavy
-#   4. GES_SANITIZE=address   — governor / service labels: the resource
-#      governor's unwind paths (budget kills mid-allocation, watchdog
-#      shots, watermark sheds) must be leak- and overflow-clean, and the
-#      golden-byte codec tests run here too
+#   4. GES_SANITIZE=address   — governor / service / storage / compaction
+#      labels: the resource governor's unwind paths (budget kills
+#      mid-allocation, watchdog shots, watermark sheds) must be leak- and
+#      overflow-clean, the golden-byte codec tests run here too, and so do
+#      the adjacency level's raw and varint slot reads
 #
 # The release flavor also compiles perfbench/ (it links service::Server and
 # reads its statistics), so a server-API change cannot break the end-to-end
@@ -65,10 +66,10 @@ for flavor in "${FLAVORS[@]}"; do
       GES_ITERS=1 "$ROOT/ubsan/bench/bench_filter_selectivity"
       ;;
     asan)
-      echo "=== [ci] AddressSanitizer: governor|service ==="
+      echo "=== [ci] AddressSanitizer: governor|service|storage|compaction ==="
       build "$ROOT/asan" -DGES_SANITIZE=address
       ctest --test-dir "$ROOT/asan" --output-on-failure -j "$JOBS" \
-        -L 'governor|service'
+        -L 'governor|service|storage|compaction'
       ;;
     *)
       echo "[ci] unknown flavor '$flavor' (release, tsan, ubsan, asan)" >&2

@@ -60,7 +60,9 @@ class MemoryBudget {
   // feeds the global gauge, it just never trips.
   explicit MemoryBudget(size_t limit_bytes, GlobalMemoryGauge* global = nullptr)
       : limit_(limit_bytes), global_(global) {}
-  ~MemoryBudget() { ReleaseAll(); }
+  ~MemoryBudget() {
+    if (global_ != nullptr) global_->Sub(used_.load(std::memory_order_relaxed));
+  }
 
   MemoryBudget(const MemoryBudget&) = delete;
   MemoryBudget& operator=(const MemoryBudget&) = delete;
@@ -89,13 +91,6 @@ class MemoryBudget {
     if (bytes == 0) return;
     used_.fetch_sub(bytes, std::memory_order_relaxed);
     if (global_ != nullptr) global_->Sub(bytes);
-  }
-
-  // Returns every outstanding byte to the global gauge. Called by the
-  // destructor; safe to call repeatedly.
-  void ReleaseAll() {
-    size_t u = used_.exchange(0, std::memory_order_relaxed);
-    if (global_ != nullptr && u != 0) global_->Sub(u);
   }
 
   bool exceeded() const { return exceeded_.load(std::memory_order_relaxed); }

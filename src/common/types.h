@@ -32,18 +32,6 @@ inline constexpr PropertyId kInvalidProperty =
 // the paper.
 enum class Direction : uint8_t { kOut = 0, kIn = 1, kBoth = 2 };
 
-inline const char* DirectionName(Direction d) {
-  switch (d) {
-    case Direction::kOut:
-      return "OUT";
-    case Direction::kIn:
-      return "IN";
-    case Direction::kBoth:
-      return "BOTH";
-  }
-  return "?";
-}
-
 }  // namespace ges
 
 #endif  // GES_COMMON_TYPES_H_

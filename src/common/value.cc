@@ -5,26 +5,6 @@
 
 namespace ges {
 
-const char* ValueTypeName(ValueType t) {
-  switch (t) {
-    case ValueType::kNull:
-      return "NULL";
-    case ValueType::kBool:
-      return "BOOL";
-    case ValueType::kInt64:
-      return "INT64";
-    case ValueType::kDouble:
-      return "DOUBLE";
-    case ValueType::kString:
-      return "STRING";
-    case ValueType::kDate:
-      return "DATE";
-    case ValueType::kVertex:
-      return "VERTEX";
-  }
-  return "?";
-}
-
 int Value::Compare(const Value& other) const {
   if (type_ != other.type_) {
     // Numeric cross-type comparison: every int-physical type (int64, date,

@@ -28,8 +28,6 @@ enum class ValueType : uint8_t {
   kVertex,  // internal VertexId
 };
 
-const char* ValueTypeName(ValueType t);
-
 // Returns true for types whose physical representation is an int64 slot.
 inline bool IsIntegerPhysical(ValueType t) {
   return t == ValueType::kBool || t == ValueType::kInt64 ||
@@ -159,7 +157,6 @@ class ValueVector {
   Value GetValue(size_t i) const;
 
   void SetInt(size_t i, int64_t v) { ints_[i] = v; }
-  void SetDouble(size_t i, double v) { doubles_[i] = v; }
   void SetString(size_t i, std::string v);
   void SetValue(size_t i, const Value& v);
 
@@ -172,7 +169,6 @@ class ValueVector {
   const StringDict* dict() const { return dict_; }
   uint32_t GetCode(size_t i) const { return codes_[i]; }
   void SetCode(size_t i, uint32_t code) { codes_[i] = code; }
-  void AppendCode(uint32_t code) { codes_.push_back(code); }
   // Converts a dict column to the owned representation (decoding every
   // row). Called when a value outside the dictionary must be stored (e.g.
   // an MVCC overlay string written after bulk load).

@@ -174,7 +174,7 @@ struct NeighborScratch {
   Set visited;
   Vec frontier;
   Vec next;
-  // Decode buffer for compressed-segment adjacency (heap, not arena: the
+  // Decode buffer for compacted adjacency (heap, not arena: the
   // vectors manage their own capacity across clear/refill cycles).
   AdjScratch adj;
 };

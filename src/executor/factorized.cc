@@ -115,11 +115,11 @@ void FactScan(FactState* state, const PlanOp& op, const GraphView& view) {
 
 // --- Expand -------------------------------------------------------------
 
-// True if the lazy (pointer-based join) representation applies. Relations
-// with a compressed segment installed are excluded: their spans decode into
-// a transient scratch, so storing raw pointers would save nothing (the copy
+// True if the lazy (pointer-based join) representation applies. Compacted
+// relations are excluded: their varint level decodes spans into a
+// transient scratch, so storing raw pointers would save nothing (the copy
 // happens either way — see the AppendOwnedSegment fallback below for the
-// race where a segment lands mid-operator).
+// race where a compaction installs mid-operator).
 bool CanExpandLazy(const PlanOp& op, const ExecOptions& options,
                    const GraphView& view) {
   if (!(options.pointer_join && op.max_hops == 1 && !op.distinct &&
@@ -157,7 +157,7 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
         AdjSpan span = view.Neighbors(rel, v, &adj);
         if (span.size == 0) continue;
         if (!adj.ids.empty() && span.ids == adj.ids.data()) {
-          // A compressed segment was installed between the CanExpandLazy
+          // A compaction installed a varint level between the CanExpandLazy
           // check and this fetch: the span lives in the reusable decode
           // scratch, so move the buffers into the block instead of storing
           // a pointer that the next decode would clobber.

@@ -65,9 +65,9 @@ class FBlock {
     seg_offsets_.push_back(seg_offsets_.back() + span.size);
   }
   // Appends a segment whose storage the block owns. Used when the span was
-  // decoded from a compressed adjacency segment (DESIGN.md §16): the decode
-  // scratch is reused on the next fetch, so the ids/stamps must move into
-  // the block to stay valid for the block's lifetime.
+  // decoded from a compacted relation's varint level (DESIGN.md §16): the
+  // decode scratch is reused on the next fetch, so the ids/stamps must move
+  // into the block to stay valid for the block's lifetime.
   void AppendOwnedSegment(std::vector<VertexId> ids,
                           std::vector<int64_t> stamps) {
     owned_.push_back(
@@ -80,9 +80,6 @@ class FBlock {
   }
   size_t NumSegments() const { return segments_.size(); }
   const AdjSpan& Segment(size_t i) const { return segments_[i]; }
-  // Logical row range [begin, end) covered by segment i.
-  uint64_t SegmentBegin(size_t i) const { return seg_offsets_[i]; }
-  uint64_t SegmentEnd(size_t i) const { return seg_offsets_[i + 1]; }
 
   // --- row access ---
   // Vertex id at logical row `row` of the leading column. For lazy blocks

@@ -27,7 +27,6 @@ class FlatBlock {
   void Clear() { rows_.clear(); }
 
   const std::vector<Value>& Row(size_t i) const { return rows_[i]; }
-  std::vector<Value>& MutableRow(size_t i) { return rows_[i]; }
   const Value& At(size_t row, size_t col) const { return rows_[row][col]; }
 
   std::vector<std::vector<Value>>& rows() { return rows_; }

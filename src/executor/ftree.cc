@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <sstream>
 
 #include "runtime/morsel.h"
 #include "runtime/scheduler.h"
@@ -272,22 +271,6 @@ size_t FTree::MemoryBytes() const {
              n->parent_index.capacity() * sizeof(IndexRange);
   }
   return bytes;
-}
-
-std::string FTree::DebugString() const {
-  std::ostringstream os;
-  for (const FTreeNode* n : Preorder()) {
-    int depth = 0;
-    for (const FTreeNode* p = n->parent; p != nullptr; p = p->parent) ++depth;
-    for (int i = 0; i < depth; ++i) os << "  ";
-    os << "node(rows=" << n->block.NumRows()
-       << (n->block.lazy() ? ", lazy" : "") << "):";
-    for (const ColumnDef& c : n->block.schema().columns()) {
-      os << " " << c.name;
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------

@@ -109,8 +109,6 @@ class FTree {
 
   size_t MemoryBytes() const;
 
-  std::string DebugString() const;
-
  private:
   friend class TupleEnumerator;
 

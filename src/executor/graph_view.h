@@ -23,9 +23,9 @@ class GraphView {
   const Graph& graph() const { return *graph_; }
   Version version() const { return version_; }
 
-  // `scratch` backs decoding when the relation has a compressed segment
-  // installed (DESIGN.md §16); the returned span is valid until the scratch
-  // is reused. Call sites holding one span at a time reuse one scratch.
+  // `scratch` backs decoding when the relation is compacted (DESIGN.md
+  // §16); the returned span is valid until the scratch is reused. Call
+  // sites holding one span at a time reuse one scratch.
   AdjSpan Neighbors(RelationId rel, VertexId v,
                     AdjScratch* scratch = nullptr) const {
     return graph_->Neighbors(rel, v, version_, scratch);

@@ -267,13 +267,4 @@ std::vector<ReplicaLagInfo> LogShipper::LagSnapshot() const {
   return out;
 }
 
-int LogShipper::ConnectedSubscribers() const {
-  int n = 0;
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  for (const auto& [id, sub] : subs_) {
-    if (sub->connected.load(std::memory_order_relaxed)) ++n;
-  }
-  return n;
-}
-
 }  // namespace ges::replication

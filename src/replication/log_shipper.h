@@ -81,7 +81,6 @@ class LogShipper {
   bool WaitForAcks(Version version, int min_acks, double timeout_s);
 
   std::vector<ReplicaLagInfo> LagSnapshot() const;
-  int ConnectedSubscribers() const;
   uint64_t frames_shipped() const {
     return frames_shipped_.load(std::memory_order_relaxed);
   }

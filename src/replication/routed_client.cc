@@ -24,11 +24,6 @@ void RoutedClient::Close() {
   }
 }
 
-void RoutedClient::SetPrimary(const Endpoint& ep) {
-  primary_.client.reset();
-  primary_.ep = ep;
-}
-
 bool RoutedClient::EnsureConnected(Node* node) {
   if (node->client && node->client->connected()) return true;
   node->client = std::make_unique<service::Client>();

@@ -67,10 +67,6 @@ class RoutedClient {
   // reads through this router never observe an older version.
   uint64_t ryw_token() const { return ryw_token_; }
 
-  // Failover: point update traffic (and read fallback) at a new primary,
-  // e.g. a promoted replica. Drops the old primary connection.
-  void SetPrimary(const Endpoint& ep);
-
   const std::string& last_error() const { return error_; }
   void Close();
 

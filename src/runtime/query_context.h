@@ -51,7 +51,6 @@ class QueryContext {
         NowNanos() + static_cast<int64_t>(seconds * 1e9),
         std::memory_order_release);
   }
-  void ClearDeadline() { deadline_ns_.store(0, std::memory_order_release); }
   bool has_deadline() const {
     return deadline_ns_.load(std::memory_order_acquire) != 0;
   }
@@ -151,9 +150,6 @@ inline const char* InterruptReasonName(InterruptReason r) {
 // budget is attached (tests, benches, direct engine use).
 inline void ChargeMemory(const QueryContext* ctx, size_t bytes) {
   if (ctx != nullptr && ctx->budget() != nullptr) ctx->budget()->Charge(bytes);
-}
-inline void ReleaseMemory(const QueryContext* ctx, size_t bytes) {
-  if (ctx != nullptr && ctx->budget() != nullptr) ctx->budget()->Release(bytes);
 }
 
 }  // namespace ges

@@ -271,7 +271,7 @@ bool Client::Execute(uint64_t handle, const std::vector<Value>& params,
   req.handle = handle;
   req.deadline_ms = deadline_ms;
   req.params = params;
-  if (!SendExecute(req)) return false;
+  if (!SendFrame(EncodeExecuteRequest(req))) return false;
   if (!ReadResponse(resp)) return false;
   if (resp->query_id != req.query_id) return Fail("response id mismatch");
   return true;

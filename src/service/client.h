@@ -105,11 +105,6 @@ class Client {
   bool Execute(uint64_t handle, const std::vector<Value>& params,
                QueryResponse* resp, uint32_t deadline_ms = 0);
 
-  // Pipelined variant of Execute (pair with ReadResponse).
-  bool SendExecute(const ExecuteRequest& req) {
-    return SendFrame(EncodeExecuteRequest(req));
-  }
-
   // Re-pins the session to the server's current version.
   bool RefreshSnapshot(uint64_t* version = nullptr);
   bool Ping();

@@ -1,7 +1,6 @@
 #include "storage/csv_loader.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 namespace ges {
@@ -202,23 +201,6 @@ Status LoadEdgesCsv(std::istream& in, LabelId edge_label, LabelId src_label,
     ++*count;
   }
   return Status::OK();
-}
-
-Status LoadVerticesCsvFile(const std::string& path, LabelId label,
-                           Graph* graph, size_t* count,
-                           const CsvOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  return LoadVerticesCsv(in, label, graph, count, options);
-}
-
-Status LoadEdgesCsvFile(const std::string& path, LabelId edge_label,
-                        LabelId src_label, LabelId dst_label, Graph* graph,
-                        size_t* count, const CsvOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  return LoadEdgesCsv(in, edge_label, src_label, dst_label, graph, count,
-                      options);
 }
 
 Status ExportVerticesCsv(const Graph& graph, LabelId label, std::ostream& out,

@@ -46,14 +46,6 @@ Status LoadEdgesCsv(std::istream& in, LabelId edge_label, LabelId src_label,
                     LabelId dst_label, Graph* graph, size_t* count,
                     const CsvOptions& options = {});
 
-// Convenience: file-path overloads.
-Status LoadVerticesCsvFile(const std::string& path, LabelId label,
-                           Graph* graph, size_t* count,
-                           const CsvOptions& options = {});
-Status LoadEdgesCsvFile(const std::string& path, LabelId edge_label,
-                        LabelId src_label, LabelId dst_label, Graph* graph,
-                        size_t* count, const CsvOptions& options = {});
-
 // --- export (any finalized graph, at the current version) ---
 
 // Writes all vertices of `label` with their declared properties.

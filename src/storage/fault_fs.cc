@@ -52,11 +52,6 @@ void FaultFS::Arm(int nth, FaultKind kind, int delay_ms) {
   delay_ms_ = delay_ms;
 }
 
-void FaultFS::Disarm() {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_ = false;
-}
-
 bool FaultFS::NextOp(FaultKind* kind) {
   ops_.fetch_add(1, std::memory_order_acq_rel);
   int delay_ms = 0;

@@ -35,7 +35,6 @@ class FaultFS : public FileSystem {
   // Arms a one-shot fault at the `nth` next counted operation (1 = the very
   // next one). Replaces any previously armed fault.
   void Arm(int nth, FaultKind kind, int delay_ms = 0);
-  void Disarm();
 
   // Operations counted since construction (for calibrating Arm offsets).
   uint64_t ops_seen() const { return ops_.load(std::memory_order_acquire); }

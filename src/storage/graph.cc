@@ -30,10 +30,9 @@ void Graph::RegisterRelation(LabelId src, LabelId edge, LabelId dst,
   if (table_index_.count(out_key) != 0) return;
   for (const RelationKey& key : {out_key, in_key}) {
     RelationId id = static_cast<RelationId>(tables_.size());
-    TableEntry entry;
-    entry.table = std::make_unique<AdjacencyTable>(key, has_stamp);
-    entry.overlay = std::make_unique<AdjOverlay>();
-    tables_.push_back(std::move(entry));
+    tables_.push_back(TableEntry{
+        std::make_unique<AdjacencyTable>(key, has_stamp),
+        std::make_unique<AdjOverlay>()});
     table_index_.emplace(key, id);
   }
 }
@@ -108,22 +107,6 @@ void Graph::FinalizeBulk() {
                                                   : 0);
   }
   finalized_ = true;
-}
-
-uint32_t Graph::Degree(RelationId rel, VertexId v, Version snapshot) const {
-  const TableEntry& t = tables_[rel];
-  if (!t.overlay->empty()) {
-    const AdjOverlayEntry* e = t.overlay->Find(v, snapshot);
-    if (e != nullptr) {
-      return static_cast<uint32_t>(e->ids.size());
-    }
-  }
-  // Base before segment, as in Neighbors. Segment degrees are
-  // precomputed — no decode needed.
-  const AdjacencyTable::Csr* base = t.table->csr();
-  const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
-  if (seg != nullptr) return seg->DegreeAt(SegmentSlot(*t.table, *seg, v));
-  return BaseNeighbors(*t.table, base, v).size;
 }
 
 Value Graph::GetProperty(VertexId v, PropertyId prop, Version snapshot) const {
@@ -283,11 +266,7 @@ size_t Graph::OverlayBytes() const {
 
 size_t Graph::MemoryBytes() const {
   size_t bytes = 0;
-  for (const TableEntry& t : tables_) {
-    bytes += t.table->MemoryBytes();
-    const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
-    if (seg != nullptr) bytes += seg->MemoryBytes();
-  }
+  for (const TableEntry& t : tables_) bytes += t.table->MemoryBytes();
   for (const auto& pt : property_tables_) {
     if (pt != nullptr) bytes += pt->MemoryBytes();
   }
@@ -306,9 +285,7 @@ size_t Graph::MemoryBytes() const {
 
 size_t Graph::RelationMemoryBytes(RelationId rel) const {
   const TableEntry& t = tables_[rel];
-  const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
-  return t.table->MemoryBytes() + t.overlay->MemoryBytes() +
-         (seg != nullptr ? seg->MemoryBytes() : 0);
+  return t.table->MemoryBytes() + t.overlay->MemoryBytes();
 }
 
 GcStats Graph::PruneVersions() {
@@ -350,7 +327,7 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
   const Version cut = pin.version();
   stats.cut = cut;
 
-  AdjScratch decode_scratch;
+  AdjScratch scratch;
   for (RelationId rel = 0; rel < tables_.size(); ++rel) {
     TableEntry& t = tables_[rel];
     if (!opts.only.empty() &&
@@ -358,18 +335,16 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
             opts.only.end()) {
       continue;
     }
-    const CompressedSegment* old_seg =
-        t.segment.load(std::memory_order_acquire);
     const size_t bytes_before = RelationMemoryBytes(rel);
     if (t.table->num_edges() == 0 && t.overlay->empty() &&
-        old_seg == nullptr) {
+        !t.table->compacted()) {
       continue;  // nothing stored, nothing to merge
     }
     if (!opts.force) {
       // Reclaimable share: the overlay chains the merge will collapse
       // (entries above the cut survive, so this is an upper-bound estimate
-      // — fine for a trigger). The base CSR is immutable and holds no
-      // slack to reclaim.
+      // — fine for a trigger). The level is immutable and holds no slack
+      // to reclaim.
       const size_t reclaimable = t.overlay->MemoryBytes();
       if (bytes_before == 0 ||
           static_cast<double>(reclaimable) /
@@ -379,38 +354,19 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
       }
     }
 
-    // Merge phase, lock-free: the base CSR is immutable after
-    // FinalizeBulk, overlay entries <= cut are immutable and pinned, the
-    // old segment is immutable. Commits racing this loop publish at
-    // versions > cut and are untouched by the collapse below.
-    const bool has_stamp = t.table->has_stamp();
+    // Merge phase, lock-free: the level is immutable, and overlay entries
+    // <= cut are immutable and pinned. Commits racing this loop publish at
+    // versions > cut and are untouched by the collapse below; only this
+    // pass installs levels. Edges of a relation hang only off its source
+    // label (writes resolve the relation from the vertex's label), so the
+    // new level walks just that label: its bulk vertices in offset order,
+    // then the post-bulk ones visible at the cut by id. Vertices created
+    // later resolve through overlays (their entries are all > cut).
     const LabelId src_label = t.table->key().src_label;
-    // Only this pass detaches the base, so one load serves the loop.
-    const AdjacencyTable::Csr* base = t.table->csr();
-    // The list of `v` as of the cut: its overlay entry <= cut, else the
-    // old segment's or the base CSR's copy.
-    auto list_at_cut = [&](VertexId v) {
-      const AdjOverlayEntry* e =
-          t.overlay->empty() ? nullptr : t.overlay->Find(v, cut);
-      if (e != nullptr) {
-        return AdjSpan{e->ids.data(), has_stamp ? e->stamps.data() : nullptr,
-                       static_cast<uint32_t>(e->ids.size())};
-      }
-      if (old_seg != nullptr) {
-        return old_seg->Decode(SegmentSlot(*t.table, *old_seg, v),
-                               &decode_scratch);
-      }
-      return BaseNeighbors(*t.table, base, v);
-    };
-    // Edges of a relation hang only off its source label (writes resolve
-    // the relation from the vertex's label), so the segment walks just that
-    // label: its bulk vertices in offset order, then the post-bulk ones
-    // visible at the cut by id. Vertices created later resolve through
-    // overlays (their entries are all > cut).
-    CompressedSegment::Builder builder(has_stamp);
+    AdjacencyTable::Csr::Builder builder(t.table->has_stamp());
     if (src_label < bulk_by_label_.size()) {
       for (VertexId v : bulk_by_label_[src_label]) {
-        const AdjSpan span = list_at_cut(v);
+        const AdjSpan span = Neighbors(rel, v, cut, &scratch);
         builder.Add(span.ids, span.stamps, span.size);
       }
     }
@@ -418,14 +374,15 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
     new_vertices_.CollectVisible(src_label, cut, &tail);
     std::sort(tail.begin(), tail.end());
     for (VertexId v : tail) {
-      const AdjSpan span = list_at_cut(v);
+      const AdjSpan span = Neighbors(rel, v, cut, &scratch);
       builder.AddTail(v, span.ids, span.stamps, span.size);
     }
-    std::shared_ptr<const CompressedSegment> seg = builder.Build(cut);
+    std::unique_ptr<const AdjacencyTable::Csr> level = builder.Build();
+    stats.edges_encoded += level->num_edges();
 
-    // Swap phase: checkpoint mutex before commit mutex — the same atomic
+    // Install phase: checkpoint mutex before commit mutex — the same atomic
     // cut CollectReplicationBacklog and Checkpoint take, so a bootstrap
-    // snapshot or checkpoint never interleaves with a half-swapped
+    // snapshot or checkpoint never interleaves with a half-installed
     // relation.
     RetiredBatch batch;
     {
@@ -433,22 +390,12 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
       std::lock_guard<std::mutex> commit_lock(
           version_manager_.commit_mutex());
       batch.install_version = CurrentVersion();
-      const size_t table_bytes = t.table->MemoryBytes();
-      // Publish the segment before collapsing the chains it absorbs and
-      // before detaching the base: a lock-free reader that then misses an
-      // entry or the base is ordered after this store and finds the
-      // segment.
-      if (old_seg != nullptr) {
-        batch.bytes += old_seg->MemoryBytes();
-        batch.keepalives.push_back(
-            std::shared_ptr<const void>(std::move(t.segment_owner)));
-      }
-      t.segment_owner = seg;
-      t.segment.store(seg.get(), std::memory_order_release);
+      // Install before collapsing the chains the level absorbs: a
+      // lock-free reader that then misses an entry is ordered after this
+      // store and finds the new level.
+      batch.level = t.table->Install(std::move(level));
       PruneStats collapsed = t.overlay->CollapseBelow(cut, &batch.chains);
-      batch.keepalives.push_back(
-          t.table->DetachStorage(seg->num_edges(), seg->num_sources()));
-      batch.bytes += table_bytes + collapsed.bytes;
+      batch.bytes = batch.level->MemoryBytes() + collapsed.bytes;
       stats.entries_collapsed += collapsed.entries;
     }
     {
@@ -459,7 +406,6 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
     }
 
     ++stats.relations_compacted;
-    stats.edges_encoded += seg->num_edges();
     stats.bytes_before += bytes_before;
     stats.bytes_after += RelationMemoryBytes(rel);
   }
@@ -479,7 +425,10 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
 }
 
 size_t Graph::ReclaimRetired() {
-  const Version watermark = OldestActiveSnapshot();
+  return ReclaimRetiredBelow(OldestActiveSnapshot());
+}
+
+size_t Graph::ReclaimRetiredBelow(Version watermark) {
   std::vector<RetiredBatch> free_now;
   {
     std::lock_guard<std::mutex> retired_lock(retired_mu_);
@@ -498,27 +447,6 @@ size_t Graph::ReclaimRetired() {
   size_t freed = 0;
   for (RetiredBatch& batch : free_now) {
     for (auto& chain : batch.chains) UnlinkDetachedChain(std::move(chain));
-    batch.keepalives.clear();
-    freed += batch.bytes;
-  }
-  if (freed > 0) {
-    retired_bytes_.fetch_sub(freed, std::memory_order_relaxed);
-    compaction_bytes_reclaimed_total_.fetch_add(freed,
-                                                std::memory_order_relaxed);
-  }
-  return freed;
-}
-
-size_t Graph::ForceReclaimRetiredForRecovery() {
-  std::vector<RetiredBatch> free_now;
-  {
-    std::lock_guard<std::mutex> retired_lock(retired_mu_);
-    free_now.swap(retired_);
-  }
-  size_t freed = 0;
-  for (RetiredBatch& batch : free_now) {
-    for (auto& chain : batch.chains) UnlinkDetachedChain(std::move(chain));
-    batch.keepalives.clear();
     freed += batch.bytes;
   }
   if (freed > 0) {
@@ -723,6 +651,7 @@ Status WriteTxn::Commit(Version* commit_version) {
                 if (a.rel != b.rel) return a.rel < b.rel;
                 return a.vertex < b.vertex;
               });
+    AdjScratch scratch;
     size_t i = 0;
     while (i < edge_ops_.size()) {
       size_t j = i;
@@ -731,31 +660,13 @@ Status WriteTxn::Commit(Version* commit_version) {
         ++j;
       }
       const EdgeOp& first = edge_ops_[i];
-      Graph::TableEntry& entry = graph_->tables_[first.rel];
-      bool has_stamp = entry.table->has_stamp();
+      const bool has_stamp = graph_->tables_[first.rel].table->has_stamp();
       auto ver = std::make_shared<AdjOverlayEntry>();
       ver->version = version;
-      // Seed with the newest existing list — overlay head, else the
-      // compressed segment (a compaction may have collapsed the chain and
-      // detached the base CSR), else the base CSR.
-      std::shared_ptr<AdjOverlayEntry> head =
-          entry.overlay->Head(first.vertex);
-      const CompressedSegment* seg =
-          entry.segment.load(std::memory_order_acquire);
-      AdjScratch scratch;
-      AdjSpan seed;
-      if (head != nullptr) {
-        seed = AdjSpan{head->ids.data(),
-                       has_stamp ? head->stamps.data() : nullptr,
-                       static_cast<uint32_t>(head->ids.size())};
-      } else if (seg != nullptr) {
-        seed = seg->Decode(graph_->SegmentSlot(*entry.table, *seg,
-                                               first.vertex),
-                           &scratch);
-      } else {
-        seed = graph_->BaseNeighbors(*entry.table, entry.table->csr(),
-                                     first.vertex);
-      }
+      // Seed with the newest existing list: under the commit mutex every
+      // published entry is at or below the current version.
+      const AdjSpan seed = graph_->Neighbors(first.rel, first.vertex,
+                                             vm.CurrentVersion(), &scratch);
       for (uint32_t k = 0; k < seed.size; ++k) {
         ver->ids.push_back(seed.ids[k]);
         if (has_stamp) ver->stamps.push_back(seed.stamps[k]);
@@ -784,7 +695,8 @@ Status WriteTxn::Commit(Version* commit_version) {
           }
         }
       }
-      entry.overlay->Publish(first.vertex, std::move(ver));
+      graph_->tables_[first.rel].overlay->Publish(first.vertex,
+                                                   std::move(ver));
       i = j;
     }
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -22,7 +23,6 @@
 #include "common/value.h"
 #include "storage/adjacency.h"
 #include "storage/catalog.h"
-#include "storage/compressed_segment.h"
 #include "storage/property_store.h"
 #include "storage/version_manager.h"
 #include "storage/wal.h"
@@ -67,18 +67,18 @@ struct CompactionOptions {
   // GESSNAP4 load, `force` service admin path).
   bool force = false;
   // When non-empty, only these relations are considered (GESSNAP4 load
-  // rebuilds exactly the segments the snapshot manifest lists).
+  // re-compacts exactly the relations the snapshot manifest lists).
   std::vector<RelationId> only;
 };
 
 // What one Graph::CompactRelations() pass did.
 struct CompactionStats {
   Version cut = 0;                  // merge cut (the GC watermark)
-  uint32_t relations_compacted = 0; // segments built and installed
+  uint32_t relations_compacted = 0; // varint levels built and installed
   uint64_t entries_collapsed = 0;   // overlay entries merged away
-  uint64_t edges_encoded = 0;       // edges in the new segments
+  uint64_t edges_encoded = 0;       // edges in the new levels
   uint64_t bytes_before = 0;        // footprint of compacted relations
-  uint64_t bytes_after = 0;         // same relations post-swap (live only)
+  uint64_t bytes_after = 0;         // same relations post-install (live)
   uint64_t bytes_retired = 0;       // parked until the watermark passes
 };
 
@@ -259,12 +259,13 @@ class Graph {
   GcStats PruneVersions();
 
   // --- background delta-merge compaction (DESIGN.md §16) ---
-  // Merges base arrays + overlay entries at the GC watermark into fresh
-  // immutable delta/varint-compressed segments and swaps them in under the
-  // checkpoint + commit mutexes (the replication backlog's atomic-cut
-  // order). Pinned readers stay byte-identical: the cut is at or below
-  // every pin, and the replaced storage is parked on the retire list until
-  // the watermark passes the install version. One pass at a time; safe
+  // Merges each chosen relation's level + overlay entries at the GC
+  // watermark into a fresh immutable varint level and installs it through
+  // the table's pointer under the checkpoint + commit mutexes (the
+  // replication backlog's atomic-cut order). Pinned readers stay
+  // byte-identical: the cut is at or below every pin, and the replaced
+  // level and collapsed chains are parked on the retire list until the
+  // watermark passes the install version. One pass at a time; safe
   // against concurrent commits, reads, GC, and checkpoints.
   CompactionStats CompactRelations(const CompactionOptions& opts);
 
@@ -274,20 +275,21 @@ class Graph {
   size_t ReclaimRetired();
   // Recovery-time drain (no concurrent readers exist): frees everything
   // parked regardless of the watermark. Used after a GESSNAP4 load
-  // rebuilds segments on a freshly recovered graph.
-  size_t ForceReclaimRetiredForRecovery();
+  // rebuilds compacted levels on a freshly recovered graph.
+  size_t ForceReclaimRetiredForRecovery() {
+    return ReclaimRetiredBelow(std::numeric_limits<Version>::max());
+  }
 
-  // True once a compressed segment is installed for `rel`. The factorized
-  // executor's lazy-expand path keys off this: decoded spans are
-  // scratch-backed and cannot be stored across operator boundaries.
+  // True once `rel`'s level is varint-encoded (a compaction installed it).
+  // The factorized executor's lazy-expand path keys off this: decoded
+  // spans are scratch-backed and cannot be stored across operator
+  // boundaries.
   bool RelationCompacted(RelationId rel) const {
-    return tables_[rel].segment.load(std::memory_order_acquire) != nullptr;
+    return tables_[rel].table->compacted();
   }
   size_t CompactedSegments() const {
     size_t n = 0;
-    for (const TableEntry& t : tables_) {
-      if (t.segment.load(std::memory_order_acquire) != nullptr) ++n;
-    }
+    for (const TableEntry& t : tables_) n += t.table->compacted() ? 1 : 0;
     return n;
   }
   // Bytes parked on the retire list (freed-pending-watermark).
@@ -324,38 +326,24 @@ class Graph {
   // chains plus the new-vertex registry. The GC byte trigger reads this.
   size_t OverlayBytes() const;
 
-  // Adjacency of `v` in relation `rel` as of `snapshot`. Every source
-  // (base CSR, overlay entry, compressed segment) yields a sorted span.
-  //
-  // Resolution order: overlay chain, then the installed compressed segment
-  // (DESIGN.md §16), then the base CSR. Segment and base both answer only
-  // the relation's source label (any other vertex reads empty); the base
-  // holds no post-bulk vertex, a segment those with a list at its cut.
-  // Decoding a segment materializes into `scratch`, so the returned span is
+  // Adjacency of `v` in relation `rel` as of `snapshot`: its overlay entry,
+  // else its list in the relation's level (Resolve). Either yields a sorted
+  // span. A varint (compacted) level decodes into `scratch`, so the span is
   // only valid until the scratch is reused; call sites that can observe a
   // compacted relation must pass one (a decode with a null scratch aborts
   // loudly — never-compacted graphs, e.g. most unit-test fixtures, are
   // unaffected).
   AdjSpan Neighbors(RelationId rel, VertexId v, Version snapshot,
                     AdjScratch* scratch = nullptr) const {
-    const TableEntry& t = tables_[rel];
-    if (!t.overlay->empty()) {
-      const AdjOverlayEntry* e = t.overlay->Find(v, snapshot);
-      if (e != nullptr) {
-        return AdjSpan{e->ids.data(),
-                       t.table->has_stamp() ? e->stamps.data() : nullptr,
-                       static_cast<uint32_t>(e->ids.size())};
-      }
+    const ListRef r = Resolve(tables_[rel], v, snapshot);
+    if (r.entry != nullptr) {
+      return AdjSpan{r.entry->ids.data(),
+                     r.entry->stamps.empty() ? nullptr
+                                             : r.entry->stamps.data(),
+                     static_cast<uint32_t>(r.entry->ids.size())};
     }
-    // Base before segment: a compaction swap publishes the segment before
-    // it unpublishes the base, so a reader that finds no segment still
-    // holds the base, which the retire list keeps alive while it is pinned.
-    const AdjacencyTable::Csr* base = t.table->csr();
-    const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
-    if (seg != nullptr) {
-      return seg->Decode(SegmentSlot(*t.table, *seg, v), scratch);
-    }
-    return BaseNeighbors(*t.table, base, v);
+    return r.level != nullptr ? r.level->NeighborsAt(r.slot, scratch)
+                              : AdjSpan{};
   }
 
   // The table traversing the same edges from the destination side:
@@ -370,10 +358,9 @@ class Graph {
     return it == table_index_.end() ? kInvalidRelation : it->second;
   }
 
-  // Mean out-degree over vertices with out-edges, from the base table's
-  // (or its compressed segment's) edge totals. Drives the optimizer's
-  // intersection cost model; the (small) overlay delta is deliberately
-  // ignored.
+  // Mean out-degree over vertices with out-edges, from the installed
+  // level's edge totals. Drives the optimizer's intersection cost model;
+  // the (small) overlay delta is deliberately ignored.
   double AvgDegree(RelationId rel) const {
     const AdjacencyTable& t = *tables_[rel].table;
     if (t.num_sources() == 0) return 0.0;
@@ -381,7 +368,12 @@ class Graph {
            static_cast<double>(t.num_sources());
   }
 
-  uint32_t Degree(RelationId rel, VertexId v, Version snapshot) const;
+  // The size of Neighbors(rel, v, snapshot), without decoding.
+  uint32_t Degree(RelationId rel, VertexId v, Version snapshot) const {
+    const ListRef r = Resolve(tables_[rel], v, snapshot);
+    if (r.entry != nullptr) return static_cast<uint32_t>(r.entry->ids.size());
+    return r.level != nullptr ? r.level->DegreeAt(r.slot) : 0;
+  }
 
   Value GetProperty(VertexId v, PropertyId prop, Version snapshot) const;
   // Fast path for bulk vertices when no overlay exists; used by vectorized
@@ -422,8 +414,8 @@ class Graph {
   size_t NumEdgesTotal() const;
 
   size_t MemoryBytes() const;
-  // Bytes one relation holds: its base CSR, overlay chains and installed
-  // compressed segment. The compaction trigger's denominator.
+  // Bytes one relation holds: its level and overlay chains. The compaction
+  // trigger's denominator.
   size_t RelationMemoryBytes(RelationId rel) const;
 
   // --- write transactions (MV2PL) ---
@@ -441,60 +433,55 @@ class Graph {
   // Snapshot + WAL rotation with checkpoint_mu_ already held.
   Status CheckpointLocked();
 
-  // Base CSR lookup in `table`'s CSR `base` (table.csr(), nullptr once a
-  // compaction detached it). A table indexes only the bulk vertices of its
-  // source label, so any other vertex — one of another label passed by a
-  // multi-relation Expand, or one created after bulk load — has no base
-  // adjacency. slot_of_ is frozen by FinalizeBulk, so this is lock-free.
-  AdjSpan BaseNeighbors(const AdjacencyTable& table,
-                        const AdjacencyTable::Csr* base, VertexId v) const {
-    if (base == nullptr || v >= bulk_vertex_count_) return AdjSpan{};
-    const BulkSlot slot = slot_of_[v];
-    if (slot.label != table.key().src_label) return AdjSpan{};
-    return base->NeighborsAt(slot.offset);
-  }
-
-  // Slot of `v` in `table`'s installed segment `seg`: a bulk vertex of the
-  // source label sits at its label offset, a post-bulk vertex in the
-  // segment's tail; anything else (another label, or no list at the cut)
-  // is kNoSlot, which decodes as an empty list.
-  uint32_t SegmentSlot(const AdjacencyTable& table,
-                       const CompressedSegment& seg, VertexId v) const {
-    if (v >= bulk_vertex_count_) return seg.TailSlot(v);
-    const BulkSlot slot = slot_of_[v];
-    return slot.label == table.key().src_label ? slot.offset
-                                               : CompressedSegment::kNoSlot;
-  }
-
   struct TableEntry {
-    TableEntry() = default;
-    // Moves happen only during single-threaded relation registration
-    // (tables_ growth), so copying the atomic's value is race-free.
-    TableEntry(TableEntry&& o) noexcept
-        : table(std::move(o.table)),
-          overlay(std::move(o.overlay)),
-          segment_owner(std::move(o.segment_owner)),
-          segment(o.segment.load(std::memory_order_relaxed)) {}
-    TableEntry& operator=(TableEntry&&) = delete;
-
     std::unique_ptr<AdjacencyTable> table;
     std::unique_ptr<AdjOverlay> overlay;
-    // Installed compressed segment (DESIGN.md §16). `segment_owner` keeps
-    // it alive (and feeds the retire list on replacement); the raw atomic
-    // is the lock-free reader-side acquire point.
-    std::shared_ptr<const CompressedSegment> segment_owner;
-    std::atomic<const CompressedSegment*> segment{nullptr};
   };
 
-  // One compaction swap's replaced storage, parked until the GC watermark
-  // passes `install_version` (readers pinned at or below it may still hold
-  // AdjSpans into the old arrays / collapsed chain entries).
+  // Where `v`'s list in `t` lives at `snapshot` — the one statement of the
+  // resolution order, which Neighbors and Degree share (and through
+  // Neighbors the commit seed and the compaction merge): the overlay
+  // entry, else `v`'s slot in the level. The level indexes only its source
+  // label: a bulk vertex sits at its label offset, a post-bulk vertex in the
+  // tail, and anything else — a vertex of another label passed by a
+  // multi-relation Expand, or a post-bulk one with no list in the level —
+  // gets kNoSlot, which reads empty. One acquire load of the level, after
+  // the overlay probe: a compaction installs its level before collapsing
+  // the chains it absorbs, so a reader that misses a collapsed entry finds
+  // the new level. slot_of_ is frozen by FinalizeBulk, so this is
+  // lock-free.
+  struct ListRef {
+    const AdjOverlayEntry* entry = nullptr;
+    const AdjacencyTable::Csr* level = nullptr;
+    uint32_t slot = AdjacencyTable::Csr::kNoSlot;
+  };
+  ListRef Resolve(const TableEntry& t, VertexId v, Version snapshot) const {
+    ListRef r;
+    if (!t.overlay->empty()) {
+      r.entry = t.overlay->Find(v, snapshot);
+      if (r.entry != nullptr) return r;
+    }
+    r.level = t.table->csr();
+    if (r.level == nullptr) return r;
+    if (v >= bulk_vertex_count_) {
+      r.slot = r.level->TailSlot(v);
+    } else if (slot_of_[v].label == t.table->key().src_label) {
+      r.slot = slot_of_[v].offset;
+    }
+    return r;
+  }
+
+  // One compaction install's replaced level and collapsed chains, parked
+  // until the GC watermark passes `install_version` (readers pinned at or
+  // below it may still hold AdjSpans into them).
   struct RetiredBatch {
     Version install_version = 0;
     size_t bytes = 0;
-    std::vector<std::shared_ptr<const void>> keepalives;
+    std::unique_ptr<const AdjacencyTable::Csr> level;
     std::vector<std::shared_ptr<AdjOverlayEntry>> chains;
   };
+  // Frees the batches `watermark` has passed; returns the bytes freed.
+  size_t ReclaimRetiredBelow(Version watermark);
 
   static uint64_t ExtKey(LabelId label, int64_t ext_id) {
     return (uint64_t{label} << 48) ^ static_cast<uint64_t>(ext_id);

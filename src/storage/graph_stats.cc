@@ -7,19 +7,6 @@
 
 namespace ges {
 
-double DegreeHistogram::Quantile(double q) const {
-  if (sampled_sources == 0) return 0;
-  uint64_t target =
-      static_cast<uint64_t>(q * static_cast<double>(sampled_sources));
-  if (target >= sampled_sources) target = sampled_sources - 1;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen > target) return static_cast<double>(uint64_t{1} << i);
-  }
-  return static_cast<double>(max_degree);
-}
-
 namespace {
 
 // Sampling caps keep a rebuild pass cheap enough for the reaper thread:

@@ -34,8 +34,6 @@ struct DegreeHistogram {
   double base_avg_degree = 0;  // edges/sources from base adjMeta (exact)
   std::array<uint64_t, 32> buckets{};
 
-  bool HasSamples() const { return sampled_sources > 0; }
-
   // Mean degree over sources with edges; falls back to the exact base
   // adjacency metadata when sampling saw nothing.
   double Avg() const {
@@ -45,10 +43,6 @@ struct DegreeHistogram {
     }
     return base_avg_degree;
   }
-
-  // Smallest degree d such that at least `q` (0..1) of sampled sources
-  // have degree <= d; 0 without samples.
-  double Quantile(double q) const;
 };
 
 // Sampled distribution of one (label, property) base column.

@@ -3,8 +3,8 @@
 // worst-case-optimal IntersectExpand operator (see DESIGN.md §12).
 //
 // All functions rely on the storage invariant established by
-// AdjacencyTable::Finalize, overlay publication and compressed-segment
-// builds: the ids of a span are in nondecreasing order, so spans are
+// AdjacencyTable::Finalize, overlay publication and compaction's varint
+// level builds: the ids of a span are in nondecreasing order, so spans are
 // galloped zero-copy.
 #ifndef GES_STORAGE_INTERSECT_H_
 #define GES_STORAGE_INTERSECT_H_

@@ -136,7 +136,7 @@ void WriteVertexSection(WireBuf* out, const Graph& graph, LabelId label,
 // Edge section: edges grouped by source, destinations sorted by external
 // id and delta+varint compressed (zigzag first, non-negative gaps). Stamps
 // ride along in destination order with the same null suppression as the
-// in-memory segment codec: one mode byte per source, 0 when every stamp is
+// in-memory varint level: one mode byte per source, 0 when every stamp is
 // zero.
 //
 //   varint num_sources
@@ -186,8 +186,8 @@ void WriteEdgeSection(WireBuf* out, const Graph& graph,
   }
 }
 
-// Segments manifest: the relations with a compressed CSR segment installed
-// at save time, identified by their catalog keys.
+// Segments manifest: the relations compacted (holding a varint level) at
+// save time, identified by their catalog keys.
 void WriteSegmentsManifest(WireBuf* out, const Graph& graph,
                            const std::vector<Graph::RelationInfo>& rels) {
   std::vector<const Graph::RelationInfo*> compacted;
@@ -478,7 +478,7 @@ Status LoadGraph(std::string_view image, Graph* graph) {
   graph->FinalizeBulk();
   graph->RestoreVersionForRecovery(snapshot_version);
   if (!segment_keys.empty()) {
-    // Rebuild the compressed segments the snapshot had installed.
+    // Re-compact the relations the snapshot had compacted.
     // Internal vertex ids are not stable across a save/load cycle, so the
     // blobs are re-encoded by a forced compaction pass over exactly the
     // manifested relations; the parked pre-swap storage is freed

@@ -108,13 +108,6 @@ Version SnapshotRegistry::OldestActive(Version current) const {
   return pins_.empty() ? current : std::min(current, pins_.begin()->first);
 }
 
-bool SnapshotRegistry::OldestPinned(Version* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pins_.empty()) return false;
-  *out = pins_.begin()->first;
-  return true;
-}
-
 size_t SnapshotRegistry::ActiveCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
@@ -137,12 +130,6 @@ const AdjOverlayEntry* AdjOverlay::Find(VertexId v, Version snapshot) const {
   const AdjOverlayEntry* e = it->second.get();
   while (e != nullptr && e->version > snapshot) e = e->prev.get();
   return e;
-}
-
-std::shared_ptr<AdjOverlayEntry> AdjOverlay::Head(VertexId v) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = heads_.find(v);
-  return it == heads_.end() ? nullptr : it->second;
 }
 
 void AdjOverlay::Publish(VertexId v, std::shared_ptr<AdjOverlayEntry> entry) {
@@ -194,7 +181,7 @@ PruneStats AdjOverlay::CollapseBelow(
   if (empty()) return stats;
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (auto it = heads_.begin(); it != heads_.end();) {
-    // Everything <= cut leaves the chain; the segment built at `cut`
+    // Everything <= cut leaves the chain; the level built at `cut`
     // serves those reads from now on.
     if (it->second->version <= cut) {
       // Whole chain collapses; the map slot goes with it.

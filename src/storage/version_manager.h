@@ -102,10 +102,6 @@ class SnapshotRegistry {
   // reader is registered.
   Version OldestActive(Version current) const;
 
-  // Oldest registered snapshot; false when none is registered. For the
-  // service's watermark-stall diagnostics.
-  bool OldestPinned(Version* out) const;
-
   size_t ActiveCount() const;
 
  private:
@@ -147,12 +143,9 @@ class AdjOverlay {
   // path skip the map probe entirely for read-mostly workloads.
   bool empty() const { return count_.load(std::memory_order_acquire) == 0; }
 
-  // Newest entry for `v` visible at `snapshot`, or nullptr (use base).
+  // Newest entry for `v` visible at `snapshot`, or nullptr (use the
+  // relation's level).
   const AdjOverlayEntry* Find(VertexId v, Version snapshot) const;
-
-  // Newest entry regardless of version (for copy-on-write by a committer
-  // that holds the vertex's write lock).
-  std::shared_ptr<AdjOverlayEntry> Head(VertexId v) const;
 
   // Publishes `entry` as the new head for `v`, linking the old head.
   void Publish(VertexId v, std::shared_ptr<AdjOverlayEntry> entry);
@@ -167,12 +160,12 @@ class AdjOverlay {
 
   // Compaction collapse (DESIGN.md §16): removes every entry with version
   // <= cut from every chain — unlike Prune, the floors too, because the
-  // compressed segment built at `cut` replaces them. Readers at snapshots
-  // >= cut (the compactor pinned the watermark, so that is all of them)
-  // resolve overlay entries in (cut, snapshot] or fall through to the
-  // segment. Removed chains are appended to `retired` instead of freed:
-  // concurrent readers may be mid-walk on them until the watermark passes
-  // the swap version.
+  // level built at `cut` replaces them. Readers at snapshots >= cut (the
+  // compactor pinned the watermark, so that is all of them) resolve
+  // overlay entries in (cut, snapshot] or fall through to the level.
+  // Removed chains are appended to `retired` instead of freed: concurrent
+  // readers may be mid-walk on them until the watermark passes the install
+  // version.
   PruneStats CollapseBelow(
       Version cut, std::vector<std::shared_ptr<AdjOverlayEntry>>* retired);
 

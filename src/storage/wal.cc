@@ -365,25 +365,6 @@ Status WalWriter::SyncTo(uint64_t lsn) {
   }
 }
 
-Status WalWriter::SyncNow() {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  {
-    std::lock_guard<std::mutex> elock(error_mu_);
-    if (!io_error_.ok()) return io_error_;
-  }
-  uint64_t target = appended_lsn_.load(std::memory_order_acquire);
-  Status s = file_->Sync();
-  std::unique_lock<std::mutex> slock(sync_mu_);
-  if (s.ok()) {
-    if (target > durable_lsn_) durable_lsn_ = target;
-  } else {
-    std::lock_guard<std::mutex> elock(error_mu_);
-    if (io_error_.ok()) io_error_ = s;
-  }
-  sync_cv_.notify_all();
-  return s;
-}
-
 Status WalWriter::Rotate() {
   std::lock_guard<std::mutex> lock(append_mu_);
   std::unique_lock<std::mutex> slock(sync_mu_);

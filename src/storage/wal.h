@@ -160,9 +160,6 @@ class WalWriter {
   // returns immediately under kInterval / kNever.
   Status WaitDurable(uint64_t lsn);
 
-  // Forces an fsync regardless of policy (used by shutdown paths).
-  Status SyncNow();
-
   // Empties the log back to a bare header after a successful checkpoint.
   // Pending WaitDurable callers are released first: the snapshot that
   // triggered the rotation already made their transactions durable.
@@ -185,7 +182,6 @@ class WalWriter {
  private:
   WalWriter(std::string path, const WalOptions& options, FileSystem* fs);
 
-  Status WriteHeaderLocked();
   // Group commit: returns once bytes up to `lsn` are durable. The first
   // caller becomes the leader and fsyncs everything appended so far
   // outside append_mu_; later callers wait for it.

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -286,12 +287,12 @@ TEST(CompactionTest, ConcurrentChurnStormIsRaceFree) {
   EXPECT_GT(g.compaction_runs_total(), 0u);
 }
 
-// The compaction swap against lock-free readers, for TSan: a reader that
-// found no overlay entry or no segment reads the next level while the
-// first forced swap collapses the chains and detaches the base. Every read
-// must return the list as of the last commit (from an overlay entry, the
-// base or the segment's copy), and the lock-free MemoryBytes() poll must
-// not tear.
+// The compaction install against lock-free readers, for TSan: a reader
+// that found no overlay entry reads the level while the first forced
+// install replaces the raw level and collapses the chains. Every read must
+// return the list as of the last commit (from an overlay entry, the raw
+// level or the varint level's copy), and the lock-free MemoryBytes() poll
+// must not tear.
 TEST(CompactionTest, BaseReadersRaceFreeAcrossDetach) {
   constexpr int kN = 64;
   for (int round = 0; round < 20; ++round) {
@@ -383,15 +384,17 @@ TEST(CompactionTest, SegmentIndexScalesWithSourceLabel) {
   EXPECT_TRUE(EdgePairs(g, in, smalls[0], v).empty());
 }
 
-// TailSlot's bucket directory against a linear scan, on a tail whose ids
-// are clustered, gapped and sparse: every tail id finds its slot and list,
-// every other id (between, before and after them) gets kNoSlot.
+// A varint level's TailSlot bucket directory against a linear scan, on a
+// tail whose ids are clustered, gapped and sparse: every tail id finds its
+// slot and list, every other id (between, before and after them) gets
+// kNoSlot.
 TEST(CompactionTest, SegmentTailLookupMatchesLinearScan) {
   std::vector<VertexId> tail;
   for (VertexId v = 1000; v < 1400; v += 1 + (v % 7)) tail.push_back(v);
   for (VertexId v = 50000; v < 50040; ++v) tail.push_back(v);
   tail.push_back(1u << 30);
-  CompressedSegment::Builder builder(/*has_stamp=*/false);
+  using Csr = AdjacencyTable::Csr;
+  Csr::Builder builder(/*has_stamp=*/false);
   const VertexId bulk_ids[2] = {7, 9};
   builder.Add(bulk_ids, nullptr, 2);
   builder.Add(nullptr, nullptr, 0);
@@ -399,15 +402,16 @@ TEST(CompactionTest, SegmentTailLookupMatchesLinearScan) {
     const VertexId ids[2] = {v, v + 1};
     builder.AddTail(v, ids, nullptr, 2);
   }
-  std::shared_ptr<const CompressedSegment> seg = builder.Build(/*cut=*/1);
+  std::unique_ptr<const Csr> seg = builder.Build();
+  ASSERT_TRUE(seg->varint());
 
   AdjScratch scratch;
-  EXPECT_EQ(seg->Decode(0, &scratch).size, 2u);
+  EXPECT_EQ(seg->NeighborsAt(0, &scratch).size, 2u);
   EXPECT_EQ(seg->DegreeAt(1), 0u);
   for (size_t p = 0; p < tail.size(); ++p) {
     const uint32_t slot = seg->TailSlot(tail[p]);
     ASSERT_EQ(slot, 2 + p) << "tail id " << tail[p];
-    AdjSpan span = seg->Decode(slot, &scratch);
+    AdjSpan span = seg->NeighborsAt(slot, &scratch);
     ASSERT_EQ(span.size, 2u);
     EXPECT_EQ(span.ids[0], tail[p]);
     EXPECT_EQ(span.ids[1], tail[p] + 1);
@@ -415,14 +419,84 @@ TEST(CompactionTest, SegmentTailLookupMatchesLinearScan) {
   for (VertexId v : {VertexId{0}, VertexId{999}, VertexId{1001},
                      VertexId{40000}, VertexId{50040},
                      VertexId{(1u << 30) - 1}, VertexId{(1u << 30) + 1}}) {
-    EXPECT_EQ(seg->TailSlot(v), CompressedSegment::kNoSlot) << v;
+    EXPECT_EQ(seg->TailSlot(v), Csr::kNoSlot) << v;
   }
   for (VertexId v = 1000; v < 1400; ++v) {
     const bool in_tail = std::binary_search(tail.begin(), tail.end(), v);
-    EXPECT_EQ(seg->TailSlot(v) != CompressedSegment::kNoSlot, in_tail) << v;
+    EXPECT_EQ(seg->TailSlot(v) != Csr::kNoSlot, in_tail) << v;
   }
   EXPECT_EQ(seg->num_sources(), 1 + tail.size());
   EXPECT_EQ(seg->num_edges(), 2 + 2 * tail.size());
+}
+
+// Degree is the size of Neighbors without the decode, on every kind of
+// list: a raw bulk level, a compacted bulk slot, a compacted post-bulk tail
+// vertex and an overlay entry above the cut, read at pins taken before and
+// between two successive compactions.
+TEST(CompactionTest, DegreeMatchesNeighborsOnEveryListKind) {
+  constexpr int kN = 64;
+  RingGraph ring(kN);
+  Graph& g = *ring.graph;
+  const RelationId in = g.ReverseRelation(ring.out);
+  std::vector<VertexId> all = ring.vertices;
+  // OUT sources given an overlay entry before the first compaction.
+  std::set<VertexId> touched;
+  auto churn = [&](int first, int last) {
+    for (int i = first; i < last; ++i) {
+      ring.Churn(i, /*fan=*/2, i, /*remove=*/i % 2 == 0);
+      touched.insert(ring.vertices[i]);
+    }
+    const int64_t ext = 1000 + static_cast<int64_t>(all.size());
+    all.push_back(ring.AddVertex(ext, /*fan=*/2));
+    touched.insert(all.back());
+    for (int f = 0; f < 2; ++f) {
+      touched.insert(ring.vertices[(ext * 7 + f) % kN]);
+    }
+  };
+  enum Kind { kRawLevel, kCompactedBulk, kCompactedTail, kOverlayAboveCut };
+  int seen[4] = {};
+  auto check = [&](Version s) {
+    AdjScratch scratch;
+    for (RelationId rel : {ring.out, in}) {
+      for (VertexId v : all) {
+        const AdjSpan span = g.Neighbors(rel, v, s, &scratch);
+        ASSERT_EQ(g.Degree(rel, v, s), span.size)
+            << "vertex " << v << " relation " << rel << " at " << s;
+        if (rel != ring.out || span.size == 0) continue;
+        if (span.ids == scratch.ids.data()) {
+          ++seen[v < g.bulk_vertex_count() ? kCompactedBulk : kCompactedTail];
+        } else if (g.RelationCompacted(rel)) {
+          ++seen[kOverlayAboveCut];
+        } else if (touched.count(v) == 0) {
+          ++seen[kRawLevel];
+        }
+      }
+    }
+  };
+  CompactionOptions opts;
+  opts.force = true;
+
+  churn(0, 8);
+  SnapshotHandle before = g.PinSnapshot();
+  check(before.version());
+  ASSERT_GE(g.CompactRelations(opts).relations_compacted, 1u);
+  ASSERT_TRUE(g.RelationCompacted(ring.out));
+  check(before.version());
+
+  churn(8, 16);
+  SnapshotHandle between = g.PinSnapshot();
+  check(before.version());
+  check(between.version());
+  before.Release();
+  ASSERT_GE(g.CompactRelations(opts).relations_compacted, 1u);
+  check(between.version());
+  churn(16, 24);
+  check(between.version());
+  check(g.CurrentVersion());
+
+  for (int kind = kRawLevel; kind <= kOverlayAboveCut; ++kind) {
+    EXPECT_GT(seen[kind], 0) << "list kind " << kind << " never read";
+  }
 }
 
 // Post-bulk vertices across swaps. A source-label vertex whose edges
