@@ -4,9 +4,10 @@
 #
 #   1. Release            — full test suite (the tier-1 gate)
 #   2. GES_SANITIZE=thread    — concurrency / gc / replication / planner /
-#      compaction labels (the replication stream + semisync ack path, the
-#      shared plan cache's lookup/insert/invalidate races, and the
-#      compaction's level install under churn must be TSan-clean)
+#      compaction / service labels (the replication stream + semisync ack
+#      path, the shared plan cache's lookup/insert/invalidate races, the
+#      compaction's level install under churn, and the server's frame
+#      dispatch, in-flight query records and Drain must be TSan-clean)
 #   3. GES_SANITIZE=undefined — kernels / executor / durability labels
 #      plus one pass of bench_filter_selectivity (GES_ITERS=1): the shared
 #      byte codec (common/wire.h: wire frames, WAL records, snapshot file,
@@ -53,10 +54,10 @@ for flavor in "${FLAVORS[@]}"; do
       cmake --build "$ROOT/perfbench" -j "$JOBS" --target ges_perfbench
       ;;
     tsan)
-      echo "=== [ci] ThreadSanitizer: concurrency|gc|replication|planner|compaction ==="
+      echo "=== [ci] ThreadSanitizer: concurrency|gc|replication|planner|compaction|service ==="
       build "$ROOT/tsan" -DGES_SANITIZE=thread
       ctest --test-dir "$ROOT/tsan" --output-on-failure -j "$JOBS" \
-        -L 'concurrency|gc|replication|planner|compaction'
+        -L 'concurrency|gc|replication|planner|compaction|service'
       ;;
     ubsan)
       echo "=== [ci] UBSan: kernels|executor|durability + WAL-heavy bench ==="

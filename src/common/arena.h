@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/memory_budget.h"
@@ -92,27 +91,6 @@ class ArenaAllocator {
 
  private:
   Arena* arena_;
-};
-
-// Arena with internal locking, shareable by concurrent writers.
-class ConcurrentArena {
- public:
-  explicit ConcurrentArena(size_t slab_bytes = 1 << 20)
-      : arena_(slab_bytes) {}
-
-  void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return arena_.Allocate(bytes, align);
-  }
-
-  size_t bytes_allocated() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return arena_.bytes_allocated();
-  }
-
- private:
-  mutable std::mutex mu_;
-  Arena arena_;
 };
 
 }  // namespace ges

@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 
 #include "replication/replication_wire.h"
@@ -20,10 +19,6 @@ namespace {
 
 using service::MsgType;
 using service::ReadResult;
-
-// Must match the durable-directory layout in storage/durability.cc.
-constexpr const char* kSnapshotName = "/snapshot.ges";
-constexpr const char* kWalName = "/wal.log";
 
 int ConnectTo(const std::string& host, uint16_t port, std::string* err) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -109,8 +104,6 @@ Status Replica::ConnectAndSubscribe(Version from, bool* sends_snapshot,
 }
 
 Status Replica::Bootstrap() {
-  FileSystem* fs =
-      opts_.dur.fs != nullptr ? opts_.dur.fs : FileSystem::Default();
   Version from = 0;
   if (!opts_.data_dir.empty() &&
       Graph::SnapshotExists(opts_.data_dir, opts_.dur.fs)) {
@@ -173,19 +166,8 @@ Status Replica::Bootstrap() {
       // and re-open. (Bootstrap-time only; a mid-stream reconnect never
       // accepts a snapshot — see StreamLoop.)
       graph_.reset();
-      GES_RETURN_IF_ERROR(fs->CreateDir(opts_.data_dir));
-      {
-        std::ofstream out(opts_.data_dir + kSnapshotName,
-                          std::ios::binary | std::ios::trunc);
-        out.write(image.data(),
-                  static_cast<std::streamsize>(image.size()));
-        if (!out.good()) {
-          return Status::Error("failed to write bootstrap snapshot");
-        }
-      }
-      if (fs->Exists(opts_.data_dir + kWalName)) {
-        GES_RETURN_IF_ERROR(fs->Remove(opts_.data_dir + kWalName));
-      }
+      GES_RETURN_IF_ERROR(
+          Graph::InstallSnapshot(opts_.data_dir, image, opts_.dur.fs));
       GES_RETURN_IF_ERROR(Graph::Open(opts_.data_dir, opts_.dur, &graph_));
     }
     if (graph_->CurrentVersion() != snap_version) {

@@ -61,8 +61,6 @@ class QueryCostModel {
   // Folds an observed latency into the estimate.
   void Observe(const std::string& name, double millis);
 
-  double short_threshold_ms() const { return short_threshold_ms_; }
-
  private:
   double Prior(const std::string& name) const;
 

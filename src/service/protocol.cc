@@ -239,15 +239,16 @@ std::string EncodeExecuteRequest(const ExecuteRequest& req) {
   return b.Take();
 }
 
-bool DecodeExecuteRequest(WireReader* in, ExecuteRequest* req) {
+bool DecodeExecuteRequest(WireReader* in, QueryRequest* req) {
+  req->kind = QueryKind::kPrepared;
   req->query_id = in->GetU64();
   req->handle = in->GetU64();
   req->deadline_ms = in->GetU32();
   req->min_version = in->GetU64();
   uint32_t n = in->GetU32();
-  req->params.clear();
+  req->bind_params.clear();
   for (uint32_t i = 0; in->ok() && i < n; ++i) {
-    req->params.push_back(GetValue(in));
+    req->bind_params.push_back(GetValue(in));
   }
   return in->ok() && in->AtEnd();
 }

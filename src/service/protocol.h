@@ -230,7 +230,9 @@ std::string EncodePrepareError(WireStatus status, const std::string& message);
 bool DecodePrepareOk(WireReader* in, PrepareResult* r, WireStatus* status,
                      std::string* message);
 std::string EncodeExecuteRequest(const ExecuteRequest& req);
-bool DecodeExecuteRequest(WireReader* in, ExecuteRequest* req);
+// Decodes a kExecute body as the internal kPrepared QueryRequest, so the
+// server admits prepared and ad-hoc queries alike.
+bool DecodeExecuteRequest(WireReader* in, QueryRequest* req);
 
 // --- frame I/O over a connected socket ---------------------------------
 

@@ -33,53 +33,44 @@ Plan BuildStressExpand(const LdbcContext& ctx, int hops) {
 
 namespace {
 
-// Bookkeeping that must happen exactly once per admitted query, whether
-// the job ran, was rejected, or was dropped during shutdown: answer the
-// client if nobody else did, then release the session's inflight slot.
-// Held by shared_ptr from both the submitting connection thread and the
-// job closure; the last owner (normally the worker, after run()) settles.
-struct JobGuard {
-  JobGuard(std::function<bool(const std::string&)> send, uint64_t query_id)
-      : send_frame(std::move(send)), query_id(query_id) {}
+// Backoff hint attached to OVERLOADED refusals.
+constexpr uint32_t kShedRetryAfterMs = 100;
 
-  ~JobGuard() {
-    if (!responded.load(std::memory_order_acquire)) {
-      QueryResponse resp;
-      resp.query_id = query_id;
-      resp.status = drop_status;
-      resp.message = "query dropped before execution";
-      send_frame(EncodeQueryResponse(resp));
-    }
-    if (release) release();
-  }
-
-  std::function<bool(const std::string&)> send_frame;
-  uint64_t query_id;
-  std::atomic<bool> responded{false};
-  WireStatus drop_status = WireStatus::kShuttingDown;
-  std::function<void()> release;  // inflight-erase + pending-decrement
+// The request rule of each QueryKind, indexed by its value: the cost-model
+// name prefix and, when the name carries the request's `number`, the valid
+// range of that number (SLEEP and HOG use `number` as a parameter).
+struct KindRule {
+  const char* prefix;
+  bool numbered;
+  int lo, hi;
 };
+constexpr KindRule kKindRules[] = {
+    {"IC", true, 1, 14},       {"IS", true, 1, 7},
+    {"IU", true, 1, 8},        {"STRESS", true, 0, 255},
+    {"SLEEP", false, 0, 0},    {"BI", true, 1, 3},
+    {"PREPARED", false, 0, 0}, {"HOG", false, 0, 0},
+};
+static_assert(std::size(kKindRules) ==
+              static_cast<size_t>(QueryKind::kHog) + 1);
 
-std::string QueryName(const QueryRequest& req) {
-  switch (req.kind) {
-    case QueryKind::kIC:
-      return "IC" + std::to_string(req.number);
-    case QueryKind::kIS:
-      return "IS" + std::to_string(req.number);
-    case QueryKind::kIU:
-      return "IU" + std::to_string(req.number);
-    case QueryKind::kStress:
-      return "STRESS" + std::to_string(req.number);
-    case QueryKind::kSleep:
-      return "SLEEP";
-    case QueryKind::kBI:
-      return "BI" + std::to_string(req.number);
-    case QueryKind::kPrepared:
-      return "PREPARED";
-    case QueryKind::kHog:
-      return "HOG";
+// Validates `req` and returns its cost-model name ("IC5", "SLEEP"), or
+// returns "" with `*error` set. The internal kPrepared kind is valid only
+// from a kExecute frame (`execute`).
+std::string RequestName(const QueryRequest& req, bool execute,
+                        std::string* error) {
+  size_t k = static_cast<size_t>(req.kind);
+  if (k >= std::size(kKindRules) ||
+      (req.kind == QueryKind::kPrepared) != execute) {
+    *error = "unknown query kind";
+    return "";
   }
-  return "?";
+  const KindRule& rule = kKindRules[k];
+  if (!rule.numbered) return rule.prefix;
+  if (req.number < rule.lo || req.number > rule.hi) {
+    *error = std::string(rule.prefix) + " number out of range";
+    return "";
+  }
+  return rule.prefix + std::to_string(req.number);
 }
 
 WireStatus StatusOfInterrupt(InterruptReason r) {
@@ -113,7 +104,6 @@ Server::Server(Graph* graph, const SnbData* data, ServiceConfig config)
       config_(std::move(config)),
       ldbc_(LdbcContext::Resolve(*graph, data->schema)),
       param_gen_(graph, data, /*seed=*/1),
-      cost_model_(config_.short_threshold_ms),
       plan_cache_(config_.plan_cache_entries) {
   replica_mode_.store(config_.replica, std::memory_order_release);
 }
@@ -399,8 +389,8 @@ void Server::ReapIdleSessions() {
     if (s.done.load(std::memory_order_acquire)) continue;
     bool idle;
     {
-      std::lock_guard<std::mutex> plk(s.pending_mu);
-      idle = s.pending == 0;
+      std::lock_guard<std::mutex> il(s.inflight_mu);
+      idle = s.inflight.empty();
     }
     if (idle &&
         now - s.last_active_ns.load(std::memory_order_acquire) > limit) {
@@ -553,6 +543,28 @@ bool Server::SendToSession(Session* session, const std::string& payload) {
   return WriteFrame(session->fd, payload);
 }
 
+void Server::Answer(Session* session, const QueryResponse& resp) {
+  std::string frame = EncodeQueryResponse(resp);
+  {
+    // The entry goes and the answer is written under write_mu, so the
+    // connection cannot close in between; erasing first means a client
+    // that reuses the id once it has read the answer is not refused.
+    // Answering counts as activity, so the idle reaper, which sees the
+    // entry gone, does not shut the connection before the write.
+    std::lock_guard<std::mutex> wl(session->write_mu);
+    {
+      std::lock_guard<std::mutex> il(session->inflight_mu);
+      if (session->inflight.erase(resp.query_id) == 0) return;
+      session->last_active_ns.store(QueryContext::NowNanos(),
+                                    std::memory_order_release);
+    }
+    if (!session->closed.load(std::memory_order_acquire)) {
+      WriteFrame(session->fd, frame);
+    }
+  }
+  session->inflight_cv.notify_one();
+}
+
 void Server::CancelInflight(Session* session) {
   std::lock_guard<std::mutex> lk(session->inflight_mu);
   for (auto& [id, q] : session->inflight) q.ctx->Cancel();
@@ -580,9 +592,10 @@ void Server::HandleConnection(std::shared_ptr<Session> session) {
   // fail to send) to settle before closing the descriptor.
   CancelInflight(session.get());
   {
-    std::unique_lock<std::mutex> lk(session->pending_mu);
-    session->pending_cv.wait_for(lk, std::chrono::seconds(30),
-                                 [&] { return session->pending == 0; });
+    std::unique_lock<std::mutex> lk(session->inflight_mu);
+    session->inflight_cv.wait_for(lk, std::chrono::seconds(30), [&] {
+      return session->inflight.empty();
+    });
   }
   // Drop the GC registration as soon as no query can execute on the
   // session's behalf: the Session object lingers in sessions_ until the
@@ -624,17 +637,28 @@ bool Server::HandleFrame(const std::shared_ptr<Session>& session,
       return SendToSession(session.get(), b.data());
     }
     case MsgType::kQuery:
-      HandleQuery(session, &in);
+    case MsgType::kExecute: {
+      bool execute = type == MsgType::kExecute;
+      QueryRequest req;
+      if (!(execute ? DecodeExecuteRequest(&in, &req)
+                    : DecodeQueryRequest(&in, &req))) {
+        QueryResponse resp;
+        resp.query_id = req.query_id;
+        resp.status = WireStatus::kInvalidArgument;
+        resp.message =
+            execute ? "malformed execute frame" : "malformed query frame";
+        SendToSession(session.get(), EncodeQueryResponse(resp));
+        return true;
+      }
+      AdmitQuery(session, std::move(req), execute);
       return true;
+    }
     case MsgType::kPrepare: {
       std::string text = in.GetString();
       if (!in.ok() || !in.AtEnd()) return refuse("malformed prepare frame");
       HandlePrepare(session, text);
       return true;
     }
-    case MsgType::kExecute:
-      HandleExecute(session, &in);
-      return true;
     case MsgType::kCancel: {
       uint64_t id = in.GetU64();
       if (!in.ok()) return refuse("malformed cancel frame");
@@ -782,20 +806,6 @@ bool Server::HandleSubscribe(const std::shared_ptr<Session>& session,
   return false;
 }
 
-void Server::HandleQuery(const std::shared_ptr<Session>& session,
-                         WireReader* in) {
-  QueryRequest req;
-  if (!DecodeQueryRequest(in, &req)) {
-    QueryResponse resp;
-    resp.query_id = req.query_id;
-    resp.status = WireStatus::kInvalidArgument;
-    resp.message = "malformed query frame";
-    SendToSession(session.get(), EncodeQueryResponse(resp));
-    return;
-  }
-  AdmitQuery(session, std::move(req));
-}
-
 void Server::HandlePrepare(const std::shared_ptr<Session>& session,
                            const std::string& text) {
   NormalizedQuery norm;
@@ -825,27 +835,6 @@ void Server::HandlePrepare(const std::shared_ptr<Session>& session,
   r.cache_hit = hit;
   r.normalized = plan->normalized;
   SendToSession(session.get(), EncodePrepareOk(r));
-}
-
-void Server::HandleExecute(const std::shared_ptr<Session>& session,
-                           WireReader* in) {
-  ExecuteRequest ereq;
-  if (!DecodeExecuteRequest(in, &ereq)) {
-    QueryResponse resp;
-    resp.query_id = ereq.query_id;
-    resp.status = WireStatus::kInvalidArgument;
-    resp.message = "malformed execute frame";
-    SendToSession(session.get(), EncodeQueryResponse(resp));
-    return;
-  }
-  QueryRequest req;
-  req.query_id = ereq.query_id;
-  req.kind = QueryKind::kPrepared;
-  req.deadline_ms = ereq.deadline_ms;
-  req.min_version = ereq.min_version;
-  req.handle = ereq.handle;
-  req.bind_params = std::move(ereq.params);
-  AdmitQuery(session, std::move(req));
 }
 
 Status Server::PrepareStatement(const std::string& normalized_text,
@@ -882,9 +871,35 @@ Status Server::PrepareStatement(const std::string& normalized_text,
 }
 
 void Server::AdmitQuery(const std::shared_ptr<Session>& session,
-                        QueryRequest req) {
+                        QueryRequest req, bool execute) {
   stats_.queries_received.fetch_add(1, std::memory_order_relaxed);
-  const std::string name = QueryName(req);
+  QueryResponse refusal;
+  refusal.query_id = req.query_id;
+  auto refuse = [&](WireStatus status, std::string message) {
+    refusal.status = status;
+    refusal.message = std::move(message);
+    SendToSession(session.get(), EncodeQueryResponse(refusal));
+  };
+
+  // Protocol checks first: a bad kind or number, or an id this session
+  // already has in flight (control frames address queries by id, so a
+  // second one would be unreachable by kCancel, kKillQuery and the
+  // watchdog). Only this connection thread inserts into `inflight`, so
+  // the id stays free until the insert below.
+  std::string error;
+  const std::string name = RequestName(req, execute, &error);
+  if (error.empty()) {
+    std::lock_guard<std::mutex> lk(session->inflight_mu);
+    if (session->inflight.count(req.query_id) != 0) {
+      error = "query id " + std::to_string(req.query_id) +
+              " is already in flight";
+    }
+  }
+  if (!error.empty()) {
+    stats_.queries_error.fetch_add(1, std::memory_order_relaxed);
+    refuse(WireStatus::kInvalidArgument, std::move(error));
+    return;
+  }
 
   // Watermark shedding (resource governor, DESIGN.md §15), decided BEFORE
   // the query pins a snapshot or takes an inflight slot. Soft watermark:
@@ -901,15 +916,12 @@ void Server::AdmitQuery(const std::shared_ptr<Session>& session,
     if (shed) {
       stats_.governor_shed.fetch_add(1, std::memory_order_relaxed);
       stats_.queries_rejected.fetch_add(1, std::memory_order_relaxed);
-      QueryResponse resp;
-      resp.query_id = req.query_id;
-      resp.status = WireStatus::kOverloaded;
-      resp.message = "shed at the memory watermark: " + std::to_string(used) +
-                     " bytes in flight, " +
-                     (used >= hard ? "hard" : "soft") + " watermark " +
-                     std::to_string(used >= hard ? hard : soft) + " bytes";
-      resp.retry_after_ms = config_.shed_retry_after_ms;
-      SendToSession(session.get(), EncodeQueryResponse(resp));
+      refusal.retry_after_ms = kShedRetryAfterMs;
+      refuse(WireStatus::kOverloaded,
+             "shed at the memory watermark: " + std::to_string(used) +
+                 " bytes in flight, " + (used >= hard ? "hard" : "soft") +
+                 " watermark " + std::to_string(used >= hard ? hard : soft) +
+                 " bytes");
       return;
     }
   }
@@ -931,14 +943,11 @@ void Server::AdmitQuery(const std::shared_ptr<Session>& session,
     Version applied = graph_->CurrentVersion();
     if (applied < req.min_version) {
       stats_.ryw_lagging.fetch_add(1, std::memory_order_relaxed);
-      QueryResponse resp;
-      resp.query_id = req.query_id;
-      resp.status = WireStatus::kLagging;
-      resp.message = "applied version is v" + std::to_string(applied) +
-                     ", behind the requested floor v" +
-                     std::to_string(req.min_version);
-      resp.snapshot_version = applied;
-      SendToSession(session.get(), EncodeQueryResponse(resp));
+      refusal.snapshot_version = applied;
+      refuse(WireStatus::kLagging,
+             "applied version is v" + std::to_string(applied) +
+                 ", behind the requested floor v" +
+                 std::to_string(req.min_version));
       return;
     }
     // The graph caught up, but the session may still be pinned below the
@@ -978,35 +987,15 @@ void Server::AdmitQuery(const std::shared_ptr<Session>& session,
   }
   {
     std::lock_guard<std::mutex> lk(session->inflight_mu);
-    session->inflight[req.query_id] = Session::InflightQuery{
-        ctx, name, QueryContext::NowNanos(), /*killed=*/false};
+    session->inflight.emplace(
+        req.query_id, Session::InflightQuery{ctx, name,
+                                             QueryContext::NowNanos(),
+                                             /*killed=*/false});
   }
-  {
-    std::lock_guard<std::mutex> lk(session->pending_mu);
-    ++session->pending;
-  }
-
-  auto guard = std::make_shared<JobGuard>(
-      [this, session](const std::string& frame) {
-        return SendToSession(session.get(), frame);
-      },
-      req.query_id);
-  guard->drop_status = draining_.load(std::memory_order_acquire)
-                           ? WireStatus::kShuttingDown
-                           : WireStatus::kResourceExhausted;
-  guard->release = [this, session, query_id = req.query_id] {
-    {
-      std::lock_guard<std::mutex> lk(session->inflight_mu);
-      session->inflight.erase(query_id);
-    }
-    std::lock_guard<std::mutex> lk(session->pending_mu);
-    --session->pending;
-    session->pending_cv.notify_all();
-  };
 
   QueryJob job;
   job.name = name;
-  job.run = [this, session, req, snapshot, ctx, guard] {
+  job.run = [this, session, req, snapshot, ctx] {
     Timer t;
     QueryResponse resp = ExecuteQuery(session.get(), req, snapshot, ctx.get());
     resp.query_id = req.query_id;
@@ -1032,13 +1021,17 @@ void Server::AdmitQuery(const std::shared_ptr<Session>& session,
       default:
         stats_.queries_error.fetch_add(1, std::memory_order_relaxed);
     }
-    guard->responded.store(true, std::memory_order_release);
-    SendToSession(session.get(), EncodeQueryResponse(resp));
+    Answer(session.get(), resp);
   };
   if (!admission_->TrySubmit(std::move(job))) {
     stats_.queries_rejected.fetch_add(1, std::memory_order_relaxed);
-    // `job` (and its guard reference) is already destroyed; our own guard
-    // reference is the last one and answers with drop_status on scope exit.
+    // Full queue, or closed intake while draining. Drain may already have
+    // answered the entry; Answer then does nothing.
+    refusal.status = draining_.load(std::memory_order_acquire)
+                         ? WireStatus::kShuttingDown
+                         : WireStatus::kResourceExhausted;
+    refusal.message = "query dropped before execution";
+    Answer(session.get(), refusal);
   }
 }
 
@@ -1063,40 +1056,17 @@ QueryResponse Server::ExecuteQuery(Session* session, const QueryRequest& req,
     case QueryKind::kIS:
     case QueryKind::kBI:
     case QueryKind::kStress: {
-      Plan plan;
-      if (req.kind == QueryKind::kIC) {
-        if (req.number < 1 || req.number > 14) {
-          resp.status = WireStatus::kInvalidArgument;
-          resp.message = "IC number out of range";
-          return resp;
-        }
-        plan = BuildIC(req.number, ldbc_, req.params);
-      } else if (req.kind == QueryKind::kIS) {
-        if (req.number < 1 || req.number > 7) {
-          resp.status = WireStatus::kInvalidArgument;
-          resp.message = "IS number out of range";
-          return resp;
-        }
-        plan = BuildIS(req.number, ldbc_, req.params);
-      } else if (req.kind == QueryKind::kBI) {
-        if (req.number < 1 || req.number > 3) {
-          resp.status = WireStatus::kInvalidArgument;
-          resp.message = "BI number out of range";
-          return resp;
-        }
-        plan = BuildBI(req.number, ldbc_, req.params);
-      } else {
-        plan = BuildStressExpand(ldbc_, req.number);
-      }
+      Plan plan = req.kind == QueryKind::kIC
+                      ? BuildIC(req.number, ldbc_, req.params)
+                  : req.kind == QueryKind::kIS
+                      ? BuildIS(req.number, ldbc_, req.params)
+                  : req.kind == QueryKind::kBI
+                      ? BuildBI(req.number, ldbc_, req.params)
+                      : BuildStressExpand(ldbc_, req.number);
       RunPlan(plan, /*tmpl=*/nullptr, snapshot, ctx, &resp);
       return resp;
     }
     case QueryKind::kIU: {
-      if (req.number < 1 || req.number > 8) {
-        resp.status = WireStatus::kInvalidArgument;
-        resp.message = "IU number out of range";
-        return resp;
-      }
       if (replica_mode_.load(std::memory_order_acquire)) {
         // Single-writer topology: only the primary commits; the applier
         // is this graph's sole writer until promotion.
@@ -1127,20 +1097,10 @@ QueryResponse Server::ExecuteQuery(Session* session, const QueryRequest& req,
       }
       graph_->MaybeCheckpoint();  // size-triggered WAL rotation
       // Read-your-writes: advance the session pin so the writer's next
-      // reads observe its own update. snap_mu makes the
-      // check-acquire-swap atomic against RefreshSnapshot and other IU
-      // commits; while the old pin (< commit) is registered the watermark
-      // sits below commit, so the AcquireAt handover is protected.
-      {
-        std::lock_guard<std::mutex> lk(session->snap_mu);
-        if (session->snapshot.load(std::memory_order_acquire) < commit) {
-          SnapshotHandle fresh = graph_->PinSnapshotAt(commit);
-          session->snapshot.store(commit, std::memory_order_release);
-          session->pin = std::move(fresh);
-          session->pinned_at_ns.store(QueryContext::NowNanos(),
-                                      std::memory_order_release);
-        }
-      }
+      // reads observe its own update. This query's own pin (at `snapshot`,
+      // below commit) holds the watermark under commit, so the AcquireAt
+      // handover is protected without snap_mu.
+      RepinSession(session, graph_->PinSnapshotAt(commit));
       resp.snapshot_version = commit;
       // Semi-synchronous replication: hold the OK until enough replicas
       // acked this commit. On timeout the transaction is durable locally
@@ -1230,8 +1190,7 @@ QueryResponse Server::ExecuteQuery(Session* session, const QueryRequest& req,
       return resp;
     }
   }
-  resp.status = WireStatus::kInvalidArgument;
-  resp.message = "unknown query kind";
+  resp.status = WireStatus::kError;  // unreachable: AdmitQuery checked kind
   return resp;
 }
 
@@ -1368,9 +1327,26 @@ void Server::Drain(double grace_seconds) {
       for (auto& [id, entry] : sessions_) CancelInflight(entry.session.get());
     }
     admission_->WaitIdle(std::max(grace_seconds, 1.0));
-    // 4. Stop workers; still-queued jobs are dropped and their guards
-    //    answer SHUTTING_DOWN, releasing session pending counts.
+    // 4. Join the workers. A query still in flight now was dropped unrun
+    //    (or lost its submit to the closed intake): answer it SHUTTING_DOWN
+    //    so every admitted query is answered exactly once.
     admission_->Shutdown();
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    for (auto& [id, entry] : sessions_) {
+      Session* s = entry.session.get();
+      std::vector<uint64_t> dropped;
+      {
+        std::lock_guard<std::mutex> il(s->inflight_mu);
+        for (const auto& [qid, q] : s->inflight) dropped.push_back(qid);
+      }
+      QueryResponse resp;
+      resp.status = WireStatus::kShuttingDown;
+      resp.message = "query dropped before execution";
+      for (uint64_t qid : dropped) {
+        resp.query_id = qid;
+        Answer(s, resp);
+      }
+    }
   }
 
   // 5. Force EOF on every connection; their threads run the session

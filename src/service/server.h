@@ -32,8 +32,9 @@
 //
 // Drain: Drain() stops the acceptor, closes admission intake (new queries
 // answer SHUTTING_DOWN), waits up to the grace period for in-flight work,
-// cancels whatever remains, shuts every connection down and joins all
-// threads. Safe to call from a signal-watcher thread.
+// cancels whatever remains, joins the workers and answers SHUTTING_DOWN to
+// every query they dropped unrun, then shuts every connection down and
+// joins all threads. Safe to call from a signal-watcher thread.
 #ifndef GES_SERVICE_SERVER_H_
 #define GES_SERVICE_SERVER_H_
 
@@ -64,7 +65,6 @@ struct ServiceConfig {
   size_t queue_capacity = 128;    // admission queue bound (backpressure)
   int query_workers = 4;          // admission worker threads
   AdmissionPolicy policy = AdmissionPolicy::kPrioritized;
-  double short_threshold_ms = 5.0;
   double idle_timeout_seconds = 0;  // 0 = never reap idle sessions
   ExecMode exec_mode = ExecMode::kFactorizedFused;
   int intra_query_threads = 1;  // morsel parallelism per query
@@ -112,15 +112,13 @@ struct ServiceConfig {
   size_t query_memory_limit_bytes = 0;
   // Soft watermark on the process-wide gauge: at admission, once the sum
   // of all in-flight budgets reaches this, *long* queries are shed with
-  // OVERLOADED (+ retry_after_ms hint); at 125% of it (the hard
+  // OVERLOADED (+ a 100 ms retry_after_ms hint); at 125% of it (the hard
   // watermark) everything is shed. 0 disables shedding.
   size_t memory_watermark_bytes = 0;
   // Watchdog: an in-flight query still running this long past its own
   // deadline has ignored cooperative cancellation for too long — it is
   // force-cancelled and logged as a slow-query report. <= 0 disables.
   double watchdog_grace_ms = 0;
-  // Backoff hint attached to OVERLOADED refusals.
-  uint32_t shed_retry_after_ms = 100;
 
   // --- prepared statements + statistics (DESIGN.md §14) ---
   // Capacity of the shared plan cache (entries keyed by normalized query
@@ -221,7 +219,6 @@ class Server {
   replication::LogShipper* shipper() { return shipper_.get(); }
 
   const ServiceStats& stats() const { return stats_; }
-  const QueryCostModel& cost_model() const { return cost_model_; }
   const AdmissionQueue& admission() const { return *admission_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
   const GlobalMemoryGauge& memory_gauge() const { return memory_gauge_; }
@@ -252,7 +249,11 @@ class Server {
     std::mutex write_mu;  // serializes response frames on fd
 
     // One admitted-but-unanswered query, as seen by control frames
-    // (kCancel/kKillQuery) and the governor's watchdog sweep.
+    // (kCancel/kKillQuery) and the governor's watchdog sweep. `inflight`
+    // is the only record of such a query: an entry lives from admission
+    // until its answer is written (Server::Answer), ids are unique within
+    // it (admission refuses an id already present), and the connection
+    // stays open until it is empty, waiting on `inflight_cv`.
     struct InflightQuery {
       std::shared_ptr<QueryContext> ctx;
       std::string name;         // cost-model key, e.g. "IC5"
@@ -260,6 +261,7 @@ class Server {
       bool killed = false;      // watchdog already shot it (log/count once)
     };
     std::mutex inflight_mu;
+    std::condition_variable inflight_cv;
     std::unordered_map<uint64_t, InflightQuery> inflight;
 
     // Prepared-statement handles (kPrepare/kExecute). Handles are scoped
@@ -275,12 +277,6 @@ class Server {
     std::mutex prepared_mu;
     std::unordered_map<uint64_t, PreparedHandle> prepared;
     uint64_t next_handle = 1;
-
-    // Queries admitted but not yet answered; the connection must outlive
-    // them (cleanup waits for pending == 0).
-    std::mutex pending_mu;
-    std::condition_variable pending_cv;
-    int pending = 0;
   };
 
   struct SessionEntry {
@@ -315,7 +311,8 @@ class Server {
   Version RepinSession(Session* session, SnapshotHandle fresh);
   void HandleConnection(std::shared_ptr<Session> session);
   // Dispatches one parsed frame; returns false when the connection should
-  // close (kBye or a protocol violation).
+  // close (kBye or a protocol violation). kQuery and kExecute frames both
+  // decode to a QueryRequest and go to AdmitQuery.
   bool HandleFrame(const std::shared_ptr<Session>& session,
                    const std::string& payload);
   // Turns the connection into a replication subscription: registers with
@@ -325,15 +322,15 @@ class Server {
   // regular query service.
   bool HandleSubscribe(const std::shared_ptr<Session>& session,
                        WireReader* in);
-  void HandleQuery(const std::shared_ptr<Session>& session, WireReader* in);
-  // Admission + snapshot pinning + job dispatch for an already-decoded
-  // request (shared by ad-hoc kQuery and prepared kExecute frames).
-  void AdmitQuery(const std::shared_ptr<Session>& session, QueryRequest req);
+  // Validation + admission + snapshot pinning + job dispatch for a decoded
+  // request; `execute` says it came from a kExecute frame, the only source
+  // of the internal kPrepared kind.
+  void AdmitQuery(const std::shared_ptr<Session>& session, QueryRequest req,
+                  bool execute);
   // kPrepare: normalize, fetch-or-build the shared plan template, mint a
   // session handle, answer kPrepareOk. Runs on the connection thread.
   void HandlePrepare(const std::shared_ptr<Session>& session,
                      const std::string& text);
-  void HandleExecute(const std::shared_ptr<Session>& session, WireReader* in);
   // Cache lookup / compile+optimize+insert for `normalized_text` (which
   // must already be canonical). `hints` are per-slot literal values used
   // for costing; `cache_hit` reports whether the template came from the
@@ -354,6 +351,10 @@ class Server {
                QueryContext* ctx, QueryResponse* resp);
   // Writes a frame honoring session->closed / write_mu.
   bool SendToSession(Session* session, const std::string& payload);
+  // Answers the in-flight query resp.query_id and erases its entry, unless
+  // another path already did (then it does nothing): each admitted query
+  // is answered exactly once.
+  void Answer(Session* session, const QueryResponse& resp);
   void CancelInflight(Session* session);
   // Joins finished session threads and erases their entries.
   void ReapDoneSessions();

@@ -18,6 +18,7 @@
 // Replay itself runs with the WAL detached, so replayed transactions are
 // not re-logged; because commit versions are consecutive, replay reproduces
 // the pre-crash version numbering.
+#include <fstream>
 #include <unordered_map>
 
 #include "storage/graph.h"
@@ -31,18 +32,30 @@ constexpr char kSnapshotName[] = "/snapshot.ges";
 constexpr char kSnapshotTmpName[] = "/snapshot.ges.tmp";
 constexpr char kWalName[] = "/wal.log";
 
-// Writes a snapshot of `graph` atomically into `dir`: tmp file + fsync +
-// rename + directory fsync. The caller must hold the commit mutex (or
-// otherwise exclude concurrent commits) so the snapshot version covers
-// everything the WAL rotation is about to discard.
-Status WriteSnapshotAtomic(const Graph& graph, FileSystem* fs,
-                           const std::string& dir) {
+// Makes `image` the snapshot of `dir` atomically: tmp file + fsync +
+// rename + directory fsync, so a crash leaves the previous snapshot or
+// this one, never a torn file.
+Status InstallImage(const std::string& image, FileSystem* fs,
+                    const std::string& dir) {
   std::string tmp = dir + kSnapshotTmpName;
-  GES_RETURN_IF_ERROR(SaveGraphFile(graph, tmp));
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    if (!out.flush()) return Status::Error("write failure: " + tmp);
+  }
   GES_RETURN_IF_ERROR(fs->SyncFile(tmp));
   GES_RETURN_IF_ERROR(fs->Rename(tmp, dir + kSnapshotName));
-  GES_RETURN_IF_ERROR(fs->SyncDir(dir));
-  return Status::OK();
+  return fs->SyncDir(dir);
+}
+
+// Writes a snapshot of `graph` atomically into `dir`. The caller must hold
+// the commit mutex (or otherwise exclude concurrent commits) so the
+// snapshot version covers everything the WAL rotation is about to discard.
+Status WriteSnapshotAtomic(const Graph& graph, FileSystem* fs,
+                           const std::string& dir) {
+  std::string image;
+  GES_RETURN_IF_ERROR(SaveGraph(graph, &image));
+  return InstallImage(image, fs, dir);
 }
 
 uint64_t IdentKey(LabelId label, int64_t ext) {
@@ -138,6 +151,15 @@ Status ReplayWalTxn(Graph* graph, const WalTxn& tx) {
 bool Graph::SnapshotExists(const std::string& dir, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   return fs->Exists(dir + kSnapshotName);
+}
+
+Status Graph::InstallSnapshot(const std::string& dir, const std::string& image,
+                              FileSystem* fs) {
+  if (fs == nullptr) fs = FileSystem::Default();
+  GES_RETURN_IF_ERROR(fs->CreateDir(dir));
+  GES_RETURN_IF_ERROR(InstallImage(image, fs, dir));
+  // The image supersedes any log of the directory's previous state.
+  return fs->Remove(dir + kWalName);
 }
 
 Status Graph::Open(const std::string& dir, const DurabilityOptions& opts,

@@ -114,6 +114,14 @@ class Graph {
   static bool SnapshotExists(const std::string& dir,
                              FileSystem* fs = nullptr);
 
+  // Replaces the durable state of `dir` with the snapshot `image` (the
+  // serialized bytes a replica receives at bootstrap): creates `dir`,
+  // installs the image atomically like a checkpoint and removes the WAL
+  // it supersedes. Graph::Open then recovers the image.
+  static Status InstallSnapshot(const std::string& dir,
+                                const std::string& image,
+                                FileSystem* fs = nullptr);
+
   // Opens a durable graph directory: loads the latest valid snapshot,
   // replays committed WAL transactions newer than it, truncates any torn
   // tail, and attaches a WAL writer so subsequent commits are logged.

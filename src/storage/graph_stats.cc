@@ -20,15 +20,6 @@ uint64_t DoubleBits(double d) {
   return b;
 }
 
-int Log2Bucket(uint32_t degree) {
-  int b = 0;
-  while (degree > 1 && b < 31) {
-    degree >>= 1;
-    ++b;
-  }
-  return b;
-}
-
 // Crude two-regime NDV estimator over a strided sample: when most sampled
 // values repeat, the domain is small and the sample has likely seen all of
 // it; when most are unique, distincts grow linearly with the population.
@@ -103,7 +94,7 @@ bool Graph::RebuildStats() {
         NumVertices(static_cast<LabelId>(l), at);
   }
 
-  // Degree histogram per adjacency table, sampled over the source label's
+  // Mean degree per adjacency table, sampled over the source label's
   // vertices (stride keeps the pass bounded on large labels).
   stats->degrees.resize(NumRelations());
   std::vector<VertexId> verts;
@@ -120,12 +111,9 @@ bool Graph::RebuildStats() {
                         : 1;
     for (size_t i = 0; i < verts.size(); i += stride) {
       uint32_t d = Degree(rel, verts[i], at);
-      ++h.sampled_vertices;
       if (d == 0) continue;
       ++h.sampled_sources;
       h.sampled_edges += d;
-      if (d > h.max_degree) h.max_degree = d;
-      ++h.buckets[Log2Bucket(d)];
     }
   }
 

@@ -1,5 +1,5 @@
 // Graph statistics harvested from adjacency metadata and base property
-// columns: per-(srcLabel, edgeLabel, dstLabel) degree histograms and
+// columns: per-(srcLabel, edgeLabel, dstLabel) sampled mean degrees and
 // per-(label, property) NDV / min-max. Owned by the Catalog as an immutable
 // snapshot behind a shared_ptr; the service reaper thread rebuilds it
 // (Graph::RebuildStats) and each install bumps the catalog stats epoch,
@@ -7,7 +7,6 @@
 #ifndef GES_STORAGE_GRAPH_STATS_H_
 #define GES_STORAGE_GRAPH_STATS_H_
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -23,16 +22,12 @@ namespace ges {
 // and silently disabled the IntersectExpand rewrite.
 inline constexpr double kDefaultDegree = 8.0;
 
-// Log2-bucketed out-degree distribution of one adjacency table, sampled
-// over source-label vertices at a fixed version. bucket[i] counts sampled
-// vertices with degree in [2^i, 2^(i+1)).
+// Mean out-degree of one adjacency table, sampled over source-label
+// vertices at a fixed version.
 struct DegreeHistogram {
-  uint64_t sampled_vertices = 0;  // vertices sampled (including degree 0)
-  uint64_t sampled_sources = 0;   // sampled vertices with >= 1 edge
+  uint64_t sampled_sources = 0;  // sampled vertices with >= 1 edge
   uint64_t sampled_edges = 0;
-  uint32_t max_degree = 0;
   double base_avg_degree = 0;  // edges/sources from base adjMeta (exact)
-  std::array<uint64_t, 32> buckets{};
 
   // Mean degree over sources with edges; falls back to the exact base
   // adjacency metadata when sampling saw nothing.

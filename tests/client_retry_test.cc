@@ -29,37 +29,39 @@ using replication::RoutedClient;
 class Listener {
  public:
   explicit Listener(uint16_t port = 0) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
     int one = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
-    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
-    EXPECT_EQ(::listen(fd_, 8), 0);
+    EXPECT_EQ(::listen(fd, 8), 0);
     socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len),
               0);
     port_ = ntohs(addr.sin_port);
+    fd_ = fd;
   }
   ~Listener() { Close(); }
 
+  // Safe against a concurrent Accept on another thread.
   void Close() {
-    if (fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);  // wakes a thread blocked in accept()
-      ::close(fd_);
-      fd_ = -1;
+    int fd = fd_.exchange(-1);
+    if (fd >= 0) {
+      ::shutdown(fd, SHUT_RDWR);  // wakes a thread blocked in accept()
+      ::close(fd);
     }
   }
 
-  int Accept() { return ::accept(fd_, nullptr, nullptr); }
+  int Accept() { return ::accept(fd_.load(), nullptr, nullptr); }
   uint16_t port() const { return port_; }
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
   uint16_t port_ = 0;
 };
 

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 
 #include "common/arena.h"
 #include "common/random.h"
@@ -124,24 +123,6 @@ TEST(ArenaTest, ResetReleasesEverything) {
   arena.Reset();
   EXPECT_EQ(arena.bytes_allocated(), 0u);
   EXPECT_EQ(arena.bytes_reserved(), 0u);
-}
-
-TEST(ConcurrentArenaTest, ParallelAllocationsDisjoint) {
-  ConcurrentArena arena;
-  std::vector<std::thread> threads;
-  std::vector<std::vector<void*>> ptrs(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&arena, &ptrs, t] {
-      for (int i = 0; i < 1000; ++i) {
-        ptrs[t].push_back(arena.Allocate(24));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<void*> all;
-  for (const auto& v : ptrs) {
-    for (void* p : v) EXPECT_TRUE(all.insert(p).second);
-  }
 }
 
 TEST(RngTest, DeterministicForSeed) {

@@ -24,6 +24,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "storage/fault_fs.h"
 #include "storage/graph.h"
 #include "storage/wal.h"
 
@@ -372,6 +373,34 @@ TEST(ReplicationTest, DurableReplicaRestartCatchesUpFromWal) {
 
   replica.Stop();
   client.Close();
+  primary.Drain(2.0);
+}
+
+// A durable replica installs the shipped bootstrap image the way a
+// checkpoint installs its snapshot (tmp + fsync + rename + directory
+// fsync): when the rename fails, no torn snapshot is left behind for the
+// next Graph::Open to reject.
+TEST(ReplicationTest, FailedBootstrapInstallLeavesNoSnapshot) {
+  Graph primary_graph;
+  SnbData data = SmallSnb(&primary_graph);
+  Server primary(&primary_graph, &data, ServiceConfig{});
+  std::string error;
+  ASSERT_TRUE(primary.Start(&error)) << error;
+
+  TempDir replica_dir;
+  FaultFS fault_fs;
+  // A fresh durable bootstrap counts CreateDir, the SyncFile of the tmp
+  // image, then its Rename.
+  fault_fs.Arm(3, FaultFS::FaultKind::kFail);
+  Replica::Options opts = ReplicaOpts(primary.port(), "torn-replica");
+  opts.data_dir = replica_dir.path();
+  opts.dur.fs = &fault_fs;
+  Replica replica(opts);
+  EXPECT_FALSE(replica.Start().ok());
+  EXPECT_EQ(fault_fs.faults_fired(), 1u);
+  EXPECT_FALSE(Graph::SnapshotExists(replica_dir.path()));
+
+  replica.Stop();
   primary.Drain(2.0);
 }
 

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/timer.h"
 #include "harness/service_load.h"
 #include "queries/ldbc.h"
 #include "service/client.h"
@@ -110,6 +111,46 @@ TEST(ServiceSessionTest, MalformedQueryAnswersInvalidArgument) {
   QueryResponse resp;
   ASSERT_TRUE(client.Run(req, &resp));
   EXPECT_EQ(resp.status, WireStatus::kInvalidArgument);
+}
+
+// A query id names one in-flight query per session: a second query that
+// reuses the id of a running one is refused at once, the running one stays
+// reachable by kCancel under that id, and the id is free once answered.
+TEST(ServiceSessionTest, ReusedInflightIdIsRefusedAndFirstStaysCancellable) {
+  ServiceConfig config;
+  config.query_workers = 2;
+  auto server = StartServer(config);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
+  QueryRequest req;
+  req.query_id = 7;
+  req.kind = service::QueryKind::kSleep;
+  req.seed = 3000;  // ms
+  ASSERT_TRUE(client.Send(req));
+  req.seed = 100;
+  ASSERT_TRUE(client.Send(req));
+
+  QueryResponse resp;
+  ASSERT_TRUE(client.ReadResponse(&resp)) << client.last_error();
+  EXPECT_EQ(resp.query_id, 7u);
+  EXPECT_EQ(resp.status, WireStatus::kInvalidArgument)
+      << service::WireStatusName(resp.status) << ": " << resp.message;
+
+  Timer cancel_wait;
+  ASSERT_TRUE(client.Cancel(7));
+  ASSERT_TRUE(client.ReadResponse(&resp)) << client.last_error();
+  EXPECT_EQ(resp.query_id, 7u);
+  EXPECT_EQ(resp.status, WireStatus::kCancelled)
+      << service::WireStatusName(resp.status) << ": " << resp.message;
+  EXPECT_LT(cancel_wait.ElapsedMillis(), 1000.0);
+
+  // Once answered, the id is free again, even to a client that sends the
+  // next query the moment it has read the answer.
+  req.seed = 0;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(client.Run(req, &resp)) << client.last_error();
+    ASSERT_EQ(resp.status, WireStatus::kOk) << i << ": " << resp.message;
+  }
 }
 
 // Acceptance: >= 4 concurrent sessions run IC/IS/IU through the wire and
