@@ -1,6 +1,7 @@
 // Microbenchmarks of the core factorized data structures (google-benchmark):
-// f-Tree enumeration, tuple-count DP, flat-vs-lazy expand, selection
-// filtering. These quantify the constant factors behind the macro results.
+// f-Tree enumeration, tuple-count DP (whole tree and per node of an
+// IC5-shaped tree), flat-vs-lazy expand, selection filtering. These
+// quantify the constant factors behind the macro results.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -14,33 +15,41 @@
 namespace ges {
 namespace {
 
-// A fan-out tree: one root row, `fan1` children rows, each with `fan2`
-// grandchildren rows.
-std::unique_ptr<FTree> MakeFanTree(int fan1, int fan2) {
+// Adds a child of `parent` with `fan` rows under every parent row.
+FTreeNode* AddFanChild(FTree* tree, FTreeNode* parent, const char* name,
+                       uint64_t fan) {
+  FTreeNode* child = tree->AddChild(parent);
+  uint64_t parent_rows = parent->block.NumRows();
+  ValueVector ids(ValueType::kInt64);
+  for (uint64_t i = 0; i < parent_rows * fan; ++i) {
+    ids.AppendInt(static_cast<int64_t>(i));
+  }
+  child->block.AddColumn(name, std::move(ids));
+  child->parent_index.resize(parent_rows);
+  for (uint64_t i = 0; i < parent_rows; ++i) {
+    child->parent_index[i] = IndexRange{i * fan, (i + 1) * fan};
+  }
+  tree->RegisterColumns(child);
+  return child;
+}
+
+// A tree with one root row in column "a".
+std::unique_ptr<FTree> MakeRootTree() {
   auto tree = std::make_unique<FTree>();
   FTreeNode* r = tree->CreateRoot();
   ValueVector root_ids(ValueType::kInt64);
   root_ids.AppendInt(0);
   r->block.AddColumn("a", std::move(root_ids));
   tree->RegisterColumns(r);
+  return tree;
+}
 
-  FTreeNode* mid = tree->AddChild(r);
-  ValueVector mid_ids(ValueType::kInt64);
-  for (int i = 0; i < fan1; ++i) mid_ids.AppendInt(i);
-  mid->block.AddColumn("b", std::move(mid_ids));
-  mid->parent_index = {{0, static_cast<uint64_t>(fan1)}};
-  tree->RegisterColumns(mid);
-
-  FTreeNode* leaf = tree->AddChild(mid);
-  ValueVector leaf_ids(ValueType::kInt64);
-  for (int i = 0; i < fan1 * fan2; ++i) leaf_ids.AppendInt(i);
-  leaf->block.AddColumn("c", std::move(leaf_ids));
-  leaf->parent_index.resize(fan1);
-  for (int i = 0; i < fan1; ++i) {
-    leaf->parent_index[i] = IndexRange{static_cast<uint64_t>(i) * fan2,
-                                       static_cast<uint64_t>(i + 1) * fan2};
-  }
-  tree->RegisterColumns(leaf);
+// A fan-out tree: one root row, `fan1` children rows, each with `fan2`
+// grandchildren rows.
+std::unique_ptr<FTree> MakeFanTree(int fan1, int fan2) {
+  auto tree = MakeRootTree();
+  FTreeNode* mid = AddFanChild(tree.get(), tree->root(), "b", fan1);
+  AddFanChild(tree.get(), mid, "c", fan2);
   return tree;
 }
 
@@ -66,6 +75,23 @@ void BM_TupleCountDP(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TupleCountDP)->Arg(32)->Arg(128)->Arg(512);
+
+// IC5's count: a person -> 1k friends -> 50k forum memberships, filtered
+// by join date -> a 450k-row post leaf without a selection vector. GES_f*
+// groups the forum rows by the per-row tuple counts of the 50k-row node.
+void BM_TupleCountsForNode(benchmark::State& state) {
+  auto tree = MakeRootTree();
+  FTreeNode* friends = AddFanChild(tree.get(), tree->root(), "f", 1000);
+  FTreeNode* forums = AddFanChild(tree.get(), friends, "forum", 50);
+  AddFanChild(tree.get(), forums, "post", 9);
+  std::vector<uint8_t>& sel = forums->MutableSel();
+  for (size_t i = 0; i < sel.size(); i += 20) sel[i] = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree->TupleCountsForNode(forums));
+  }
+  state.SetItemsProcessed(state.iterations() * forums->block.NumRows());
+}
+BENCHMARK(BM_TupleCountsForNode);
 
 void BM_Flatten(benchmark::State& state) {
   auto tree = MakeFanTree(static_cast<int>(state.range(0)),

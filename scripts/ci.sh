@@ -14,10 +14,12 @@
 #      covered by the serialization, snapshot-integrity, WAL and
 #      golden-byte tests) and CRC32C are bit-twiddling-heavy
 #   4. GES_SANITIZE=address   — governor / service / storage / compaction
-#      labels: the resource governor's unwind paths (budget kills
-#      mid-allocation, watchdog shots, watermark sheds) must be leak- and
-#      overflow-clean, the golden-byte codec tests run here too, and so do
-#      the adjacency level's raw and varint slot reads
+#      / executor labels: the resource governor's unwind paths (budget
+#      kills mid-allocation, watchdog shots, watermark sheds) must be leak-
+#      and overflow-clean, the golden-byte codec tests run here too, and so
+#      do the adjacency level's raw and varint slot reads, the f-Tree count
+#      DP's prefix arrays indexed by range bounds (ftree_*, fuzz_plan_test)
+#      and the grouped aggregator's lazily made per-group state
 #
 # The release flavor also compiles perfbench/ (it links service::Server and
 # reads its statistics), so a server-API change cannot break the end-to-end
@@ -67,10 +69,10 @@ for flavor in "${FLAVORS[@]}"; do
       GES_ITERS=1 "$ROOT/ubsan/bench/bench_filter_selectivity"
       ;;
     asan)
-      echo "=== [ci] AddressSanitizer: governor|service|storage|compaction ==="
+      echo "=== [ci] AddressSanitizer: governor|service|storage|compaction|executor ==="
       build "$ROOT/asan" -DGES_SANITIZE=address
       ctest --test-dir "$ROOT/asan" --output-on-failure -j "$JOBS" \
-        -L 'governor|service|storage|compaction'
+        -L 'governor|service|storage|compaction|executor'
       ;;
     *)
       echo "[ci] unknown flavor '$flavor' (release, tsan, ubsan, asan)" >&2

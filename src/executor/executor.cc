@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -112,27 +113,34 @@ using internal::RowHash;
 
 namespace internal {
 
-GroupedAggregator::GroupedAggregator(std::vector<ColumnDef> key_defs,
-                                     std::vector<AggSpec> aggs,
-                                     std::vector<ValueType> input_types)
-    : key_defs_(std::move(key_defs)),
-      aggs_(std::move(aggs)),
-      input_types_(std::move(input_types)) {}
-
-void GroupedAggregator::Add(std::vector<Value> key,
-                            const std::vector<Value>& inputs,
-                            int64_t multiplicity) {
-  auto [it, inserted] = index_.emplace(key, keys_.size());
-  if (inserted) {
-    keys_.push_back(std::move(key));
-    states_.emplace_back(aggs_.size());
+GroupedAggregator::GroupedAggregator(const Schema& schema,
+                                     const std::vector<std::string>& group_by,
+                                     std::vector<AggSpec> aggs)
+    : aggs_(std::move(aggs)), inputs_(aggs_.size()) {
+  for (const std::string& g : group_by) {
+    int i = schema.IndexOf(g);
+    assert(i >= 0);
+    key_idx_.push_back(i);
+    key_defs_.push_back(ColumnDef{g, schema[i].type});
   }
-  std::vector<State>& st = states_[it->second];
+  key_.resize(key_idx_.size());
+  for (const AggSpec& a : aggs_) {
+    int i = a.input.empty() ? -1 : schema.IndexOf(a.input);
+    input_idx_.push_back(i);
+    input_types_.push_back(i >= 0 ? schema[i].type : ValueType::kInt64);
+  }
+}
+
+void GroupedAggregator::Add(int64_t multiplicity) {
+  // Hashes key_ once and copies it only for a new group.
+  auto [it, inserted] = index_.try_emplace(key_, index_.size());
+  if (inserted) states_.resize(states_.size() + aggs_.size());
+  State* st = &states_[it->second * aggs_.size()];
   for (size_t a = 0; a < aggs_.size(); ++a) {
     State& s = st[a];
     s.count += multiplicity;
     if (aggs_[a].input.empty()) continue;
-    const Value& v = inputs[a];
+    const Value& v = inputs_[a];
     switch (aggs_[a].fn) {
       case AggSpec::kSum:
       case AggSpec::kAvg:
@@ -141,17 +149,16 @@ void GroupedAggregator::Add(std::vector<Value> key,
         break;
       case AggSpec::kMin:
       case AggSpec::kMax:
-        if (!s.has_minmax) {
-          s.min = v;
-          s.max = v;
-          s.has_minmax = true;
+        if (s.extra == nullptr) {
+          s.extra.reset(new State::Extra{v, v, {}});
         } else {
-          if (v < s.min) s.min = v;
-          if (s.max < v) s.max = v;
+          if (v < s.extra->min) s.extra->min = v;
+          if (s.extra->max < v) s.extra->max = v;
         }
         break;
       case AggSpec::kCountDistinct:
-        s.distinct.insert(v);
+        if (s.extra == nullptr) s.extra = std::make_unique<State::Extra>();
+        s.extra->distinct.insert(v);
         break;
       case AggSpec::kCount:
         break;
@@ -182,7 +189,7 @@ FlatBlock GroupedAggregator::Finish() {
   }
 
   FlatBlock out(out_schema);
-  if (keys_.empty() && key_defs_.empty()) {
+  if (index_.empty() && key_defs_.empty()) {
     // Global aggregation of an empty relation: COUNT -> 0.
     std::vector<Value> row;
     for (const AggSpec& a : aggs_) {
@@ -191,16 +198,21 @@ FlatBlock GroupedAggregator::Finish() {
     out.AppendRow(std::move(row));
     return out;
   }
-  for (size_t g = 0; g < keys_.size(); ++g) {
-    std::vector<Value> row = keys_[g];
+  std::vector<const std::vector<Value>*> keys(index_.size());  // by group id
+  for (const auto& [key, g] : index_) keys[g] = &key;
+  for (size_t g = 0; g < keys.size(); ++g) {
+    std::vector<Value> row;
+    row.reserve(key_defs_.size() + aggs_.size());
+    row.assign(keys[g]->begin(), keys[g]->end());
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      const State& s = states_[g][a];
+      const State& s = states_[g * aggs_.size() + a];
       switch (aggs_[a].fn) {
         case AggSpec::kCount:
           row.push_back(Value::Int(s.count));
           break;
         case AggSpec::kCountDistinct:
-          row.push_back(Value::Int(static_cast<int64_t>(s.distinct.size())));
+          row.push_back(Value::Int(static_cast<int64_t>(
+              s.extra == nullptr ? 0 : s.extra->distinct.size())));
           break;
         case AggSpec::kSum:
           if (!aggs_[a].input.empty() &&
@@ -214,10 +226,10 @@ FlatBlock GroupedAggregator::Finish() {
           row.push_back(Value::Double(s.count == 0 ? 0 : s.sum_d / s.count));
           break;
         case AggSpec::kMin:
-          row.push_back(s.min);
+          row.push_back(s.extra == nullptr ? Value() : s.extra->min);
           break;
         case AggSpec::kMax:
-          row.push_back(s.max);
+          row.push_back(s.extra == nullptr ? Value() : s.extra->max);
           break;
       }
     }
@@ -238,49 +250,34 @@ void SortAndLimit(FlatBlock* block, const std::vector<SortKey>& keys,
     idx.push_back(i);
     asc.push_back(k.ascending);
   }
-  auto cmp = [&](const std::vector<Value>& a, const std::vector<Value>& b) {
+  // Orders row indices with the row index breaking ties, so the first
+  // `limit` of them are the stable order's prefix; the rows past the limit
+  // are only partitioned off, never sorted.
+  std::vector<std::vector<Value>>& rows = block->rows();
+  auto before = [&](size_t a, size_t b) {
     for (size_t k = 0; k < idx.size(); ++k) {
-      int c = a[idx[k]].Compare(b[idx[k]]);
+      int c = rows[a][idx[k]].Compare(rows[b][idx[k]]);
       if (c != 0) return asc[k] ? c < 0 : c > 0;
     }
-    return false;
+    return a < b;
   };
-  std::stable_sort(block->rows().begin(), block->rows().end(), cmp);
-  if (block->NumRows() > limit) {
-    block->rows().resize(limit);
-  }
+  const size_t n = std::min<uint64_t>(limit, rows.size());
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::nth_element(order.begin(), order.begin() + n, order.end(), before);
+  std::sort(order.begin(), order.begin() + n, before);
+  std::vector<std::vector<Value>> sorted;
+  sorted.reserve(n);
+  for (size_t i = 0; i < n; ++i) sorted.push_back(std::move(rows[order[i]]));
+  rows = std::move(sorted);
 }
 
 FlatBlock HashAggregate(const FlatBlock& block,
                         const std::vector<std::string>& group_by,
                         const std::vector<AggSpec>& aggs) {
-  const Schema& in = block.schema();
-  std::vector<ColumnDef> key_defs;
-  std::vector<int> key_idx;
-  for (const std::string& g : group_by) {
-    int i = in.IndexOf(g);
-    assert(i >= 0);
-    key_idx.push_back(i);
-    key_defs.push_back(ColumnDef{g, in[i].type});
-  }
-  std::vector<int> agg_idx;
-  std::vector<ValueType> input_types;
-  for (const AggSpec& a : aggs) {
-    int i = a.input.empty() ? -1 : in.IndexOf(a.input);
-    agg_idx.push_back(i);
-    input_types.push_back(i >= 0 ? in[i].type : ValueType::kInt64);
-  }
-
-  GroupedAggregator agg(std::move(key_defs), aggs, std::move(input_types));
-  std::vector<Value> inputs(aggs.size());
+  GroupedAggregator agg(block.schema(), group_by, aggs);
   for (const auto& row : block.rows()) {
-    std::vector<Value> key;
-    key.reserve(key_idx.size());
-    for (int i : key_idx) key.push_back(row[i]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      if (agg_idx[a] >= 0) inputs[a] = row[agg_idx[a]];
-    }
-    agg.Add(std::move(key), inputs);
+    agg.AddRow([&](int c) -> const Value& { return row[c]; });
   }
   return agg.Finish();
 }

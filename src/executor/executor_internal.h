@@ -3,6 +3,8 @@
 #ifndef GES_EXECUTOR_EXECUTOR_INTERNAL_H_
 #define GES_EXECUTOR_EXECUTOR_INTERNAL_H_
 
+#include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -112,18 +114,26 @@ class IntersectExpandRunner {
 
 // Incremental hash-grouped aggregation shared by the flat engine, the
 // direct (tuple-count DP) factorized path, and the streaming fused path.
-// Feed (key, inputs[, multiplicity]) triples; Finish() emits one row per
-// group in first-encounter order: group keys then aggregate outputs.
+// Feed rows with AddRow; Finish() emits one row per group in
+// first-encounter order: group keys then aggregate outputs.
 class GroupedAggregator {
  public:
-  // `key_defs` name/type the group-by output columns; `input_types` align
-  // with `aggs` (ignored for COUNT(*)).
-  GroupedAggregator(std::vector<ColumnDef> key_defs, std::vector<AggSpec> aggs,
-                    std::vector<ValueType> input_types);
+  // Resolves the group keys and the aggregate inputs against the columns
+  // of `schema`, which every row fed to AddRow follows.
+  GroupedAggregator(const Schema& schema,
+                    const std::vector<std::string>& group_by,
+                    std::vector<AggSpec> aggs);
 
-  // `inputs` aligns with the agg specs (the value is ignored for COUNT(*)).
-  void Add(std::vector<Value> key, const std::vector<Value>& inputs,
-           int64_t multiplicity = 1);
+  // Folds in, `multiplicity` times, the row whose column c reads
+  // value_at(c). The key and input buffers are reused across rows.
+  template <typename ValueAt>
+  void AddRow(const ValueAt& value_at, int64_t multiplicity = 1) {
+    for (size_t k = 0; k < key_.size(); ++k) key_[k] = value_at(key_idx_[k]);
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (input_idx_[a] >= 0) inputs_[a] = value_at(input_idx_[a]);
+    }
+    Add(multiplicity);
+  }
 
   FlatBlock Finish();
 
@@ -132,17 +142,30 @@ class GroupedAggregator {
     int64_t count = 0;
     int64_t sum_i = 0;
     double sum_d = 0;
-    bool has_minmax = false;
-    Value min, max;
-    std::unordered_set<Value, ValueHash> distinct;
+    // MIN/MAX/COUNT DISTINCT state, made on the group's first row, so a
+    // COUNT/SUM group costs 32 bytes: with thousands of groups a fat state
+    // array is fresh memory that every query faults in.
+    struct Extra {
+      Value min, max;
+      std::unordered_set<Value, ValueHash> distinct;
+    };
+    std::unique_ptr<Extra> extra;
   };
+
+  // Folds key_ and inputs_ into their group's states.
+  void Add(int64_t multiplicity);
 
   std::vector<ColumnDef> key_defs_;
   std::vector<AggSpec> aggs_;
-  std::vector<ValueType> input_types_;
+  std::vector<ValueType> input_types_;  // kInt64 for COUNT(*)
+  std::vector<int> key_idx_;
+  std::vector<int> input_idx_;  // -1 for COUNT(*)
+  std::vector<Value> key_;
+  std::vector<Value> inputs_;
+  // Group key -> group id; ids follow first-encounter order, and group g
+  // owns states_[g * #aggs, (g + 1) * #aggs).
   std::unordered_map<std::vector<Value>, size_t, RowHash, RowEq> index_;
-  std::vector<std::vector<Value>> keys_;
-  std::vector<std::vector<State>> states_;
+  std::vector<State> states_;
 };
 
 }  // namespace ges::internal

@@ -72,6 +72,22 @@ Schema TreeSchema(const FTree& tree) {
   return s;
 }
 
+// Column c of TreeSchema(tree) as (preorder node index, column index), for
+// a preorder node list such as TupleEnumerator::nodes().
+struct TreeSlot {
+  size_t node_idx;
+  size_t col_idx;
+};
+std::vector<TreeSlot> TreeSlots(const std::vector<const FTreeNode*>& nodes) {
+  std::vector<TreeSlot> slots;
+  for (size_t ni = 0; ni < nodes.size(); ++ni) {
+    for (size_t c = 0; c < nodes[ni]->block.schema().size(); ++c) {
+      slots.push_back(TreeSlot{ni, c});
+    }
+  }
+  return slots;
+}
+
 // De-factors the tree into the flat state (the "ultimate solution").
 // Without a LIMIT the Lemma 4.4 loop runs morsel-parallel on the shared
 // scheduler (FlattenParallel falls back to sequential for small trees).
@@ -758,35 +774,12 @@ bool TryFactAggregate(const FTree& tree, const std::vector<std::string>& group_b
   }
 
   std::vector<uint64_t> counts = tree.TupleCountsForNode(u);
-  const Schema& us = u->block.schema();
-  std::vector<ColumnDef> key_defs;
-  std::vector<int> key_idx;
-  for (const std::string& g : group_by) {
-    int i = us.IndexOf(g);
-    key_idx.push_back(i);
-    key_defs.push_back(ColumnDef{g, us[i].type});
-  }
-  std::vector<int> agg_idx;
-  std::vector<ValueType> input_types;
-  for (const AggSpec& a : aggs) {
-    int i = a.input.empty() ? -1 : us.IndexOf(a.input);
-    agg_idx.push_back(i);
-    input_types.push_back(i >= 0 ? us[i].type : ValueType::kInt64);
-  }
-
-  internal::GroupedAggregator agg(std::move(key_defs), aggs,
-                                  std::move(input_types));
-  std::vector<Value> inputs(aggs.size());
+  internal::GroupedAggregator agg(u->block.schema(), group_by, aggs);
   size_t rows = u->block.NumRows();
   for (size_t r = 0; r < rows; ++r) {
     if (counts[r] == 0) continue;
-    std::vector<Value> key;
-    key.reserve(key_idx.size());
-    for (int i : key_idx) key.push_back(u->block.GetValue(r, i));
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      if (agg_idx[a] >= 0) inputs[a] = u->block.GetValue(r, agg_idx[a]);
-    }
-    agg.Add(std::move(key), inputs, static_cast<int64_t>(counts[r]));
+    agg.AddRow([&](int c) { return u->block.GetValue(r, c); },
+               static_cast<int64_t>(counts[r]));
   }
   *out = agg.Finish();
   return true;
@@ -800,57 +793,14 @@ FlatBlock StreamingAggregate(const FTree& tree,
                              const std::vector<std::string>& group_by,
                              const std::vector<AggSpec>& aggs) {
   TupleEnumerator e(tree);
-  struct Slot {
-    size_t node_idx;
-    size_t col_idx;
-    ValueType type;
-  };
-  auto resolve = [&](const std::string& name) {
-    const FTreeNode* node = tree.NodeOfColumn(name);
-    assert(node != nullptr);
-    int col = node->block.schema().IndexOf(name);
-    return Slot{e.IndexOf(node), static_cast<size_t>(col),
-                node->block.schema()[col].type};
-  };
-  std::vector<Slot> key_slots;
-  std::vector<ColumnDef> key_defs;
-  for (const std::string& g : group_by) {
-    Slot s = resolve(g);
-    key_slots.push_back(s);
-    key_defs.push_back(ColumnDef{g, s.type});
-  }
-  std::vector<Slot> input_slots;
-  std::vector<ValueType> input_types;
-  bool has_input = false;
-  for (const AggSpec& a : aggs) {
-    if (a.input.empty()) {
-      input_slots.push_back(Slot{0, 0, ValueType::kInt64});
-      input_types.push_back(ValueType::kInt64);
-    } else {
-      Slot s = resolve(a.input);
-      input_slots.push_back(s);
-      input_types.push_back(s.type);
-      has_input = true;
-    }
-  }
-
-  internal::GroupedAggregator agg(std::move(key_defs), aggs,
-                                  std::move(input_types));
-  std::vector<Value> inputs(aggs.size());
-  auto value_at = [&](const Slot& s) {
-    return e.nodes()[s.node_idx]->block.GetValue(e.RowAt(s.node_idx),
-                                                 s.col_idx);
-  };
+  std::vector<TreeSlot> slots = TreeSlots(e.nodes());
+  internal::GroupedAggregator agg(TreeSchema(tree), group_by, aggs);
   while (e.Next()) {
-    std::vector<Value> key;
-    key.reserve(key_slots.size());
-    for (const Slot& s : key_slots) key.push_back(value_at(s));
-    if (has_input) {
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (!aggs[a].input.empty()) inputs[a] = value_at(input_slots[a]);
-      }
-    }
-    agg.Add(std::move(key), inputs);
+    agg.AddRow([&](int c) {
+      const TreeSlot& s = slots[c];
+      return e.nodes()[s.node_idx]->block.GetValue(e.RowAt(s.node_idx),
+                                                   s.col_idx);
+    });
   }
   return agg.Finish();
 }
@@ -877,24 +827,14 @@ FlatBlock StreamTopK(const FTree& tree, const std::vector<SortKey>& keys,
   };
 
   TupleEnumerator e(tree);
-  std::vector<const FTreeNode*> nodes = e.nodes();
-  // Column slots in enumeration order = TreeSchema order.
-  struct Slot {
-    size_t node_idx;
-    size_t col_idx;
-  };
-  std::vector<Slot> slots;
-  for (size_t ni = 0; ni < nodes.size(); ++ni) {
-    for (size_t c = 0; c < nodes[ni]->block.schema().size(); ++c) {
-      slots.push_back(Slot{ni, c});
-    }
-  }
+  const std::vector<const FTreeNode*>& nodes = e.nodes();
+  std::vector<TreeSlot> slots = TreeSlots(nodes);
 
   std::vector<std::vector<Value>> top;  // kept sorted ascending by cmp
   while (e.Next()) {
     std::vector<Value> row;
     row.reserve(slots.size());
-    for (const Slot& s : slots) {
+    for (const TreeSlot& s : slots) {
       row.push_back(nodes[s.node_idx]->block.GetValue(e.RowAt(s.node_idx),
                                                       s.col_idx));
     }

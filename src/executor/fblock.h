@@ -106,9 +106,6 @@ class FBlock {
   const ValueVector& Column(size_t schema_col) const {
     return columns_[ColumnStorageIndex(schema_col)];
   }
-  ValueVector* MutableColumn(size_t schema_col) {
-    return &columns_[ColumnStorageIndex(schema_col)];
-  }
 
   // Appends a materialized, row-aligned column (e.g. a fetched property).
   void AppendAlignedColumn(const std::string& name, ValueVector column) {

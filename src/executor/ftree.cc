@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <numeric>
 
 #include "runtime/morsel.h"
 #include "runtime/scheduler.h"
@@ -56,83 +57,86 @@ std::vector<FTreeNode*> FTree::PreorderMutable() {
 
 namespace {
 
-// down[row] for `node`: number of valid subtree combinations rooted at this
-// row. Fills `down` (size = rows) and `cum` (size = rows + 1, prefix sums).
-void ComputeDown(
-    const FTreeNode* node,
-    std::unordered_map<const FTreeNode*, std::vector<uint64_t>>* down_map,
-    std::unordered_map<const FTreeNode*, std::vector<uint64_t>>* cum_map) {
+// Multiplies w[row], for each row of `node`, by the tuple counts that the
+// row's child ranges offer, leaving out the subtree of `skip`; an invalid
+// row gets 0.
+void MultiplyByChildren(const FTreeNode* node, const FTreeNode* skip,
+                        uint64_t* w);
+
+// Valid-tuple counts of the subtree under each row of `node`, as prefix
+// sums, so a parent row's range [begin, end) weighs cum[end] - cum[begin].
+// A leaf without a selection vector keeps no array: each of its rows counts
+// once, so a range weighs its length.
+class RangeWeights {
+ public:
+  explicit RangeWeights(const FTreeNode* node) {
+    if (node->children.empty() && node->sel.empty()) return;
+    cum_.assign(node->block.NumRows() + 1, 1);
+    cum_[0] = 0;
+    MultiplyByChildren(node, nullptr, cum_.data() + 1);
+    std::partial_sum(cum_.begin(), cum_.end(), cum_.begin());
+  }
+  uint64_t Sum(const IndexRange& r) const {
+    return cum_.empty() ? r.end - r.begin : cum_[r.end] - cum_[r.begin];
+  }
+
+ private:
+  std::vector<uint64_t> cum_;
+};
+
+void MultiplyByChildren(const FTreeNode* node, const FTreeNode* skip,
+                        uint64_t* w) {
+  std::vector<const FTreeNode*> kids;
+  std::vector<RangeWeights> weights;
   for (const auto& c : node->children) {
-    ComputeDown(c.get(), down_map, cum_map);
+    if (c.get() == skip) continue;
+    kids.push_back(c.get());
+    weights.emplace_back(c.get());
   }
   size_t rows = node->block.NumRows();
-  std::vector<uint64_t> down(rows, 0);
   for (size_t r = 0; r < rows; ++r) {
-    if (!node->RowValid(r)) continue;
-    uint64_t prod = 1;
-    for (const auto& c : node->children) {
-      const std::vector<uint64_t>& ccum = (*cum_map)[c.get()];
-      const IndexRange& range = c->parent_index[r];
-      uint64_t sum = ccum[range.end] - ccum[range.begin];
-      prod *= sum;
-      if (prod == 0) break;
+    uint64_t x = node->RowValid(r) ? w[r] : 0;
+    for (size_t k = 0; k < kids.size() && x != 0; ++k) {
+      x *= weights[k].Sum(kids[k]->parent_index[r]);
     }
-    down[r] = prod;
+    w[r] = x;
   }
-  std::vector<uint64_t> cum(rows + 1, 0);
-  for (size_t r = 0; r < rows; ++r) cum[r + 1] = cum[r] + down[r];
-  (*down_map)[node] = std::move(down);
-  (*cum_map)[node] = std::move(cum);
 }
 
 }  // namespace
 
 uint64_t FTree::CountTuples() const {
   if (root_ == nullptr) return 0;
-  std::unordered_map<const FTreeNode*, std::vector<uint64_t>> down, cum;
-  ComputeDown(root_.get(), &down, &cum);
-  return cum[root_.get()].back();
+  return RangeWeights(root_.get()).Sum({0, root_->block.NumRows()});
 }
 
 std::vector<uint64_t> FTree::TupleCountsForNode(
     const FTreeNode* target) const {
-  std::unordered_map<const FTreeNode*, std::vector<uint64_t>> down, cum;
-  ComputeDown(root_.get(), &down, &cum);
-
-  // up[node][row]: combinations of the rest of the tree compatible with the
-  // row. Computed top-down (rerooting).
-  std::unordered_map<const FTreeNode*, std::vector<uint64_t>> up;
-  up[root_.get()] = std::vector<uint64_t>(root_->block.NumRows(), 1);
-  // BFS over the tree; parents before children (preorder works).
-  for (const FTreeNode* node : Preorder()) {
-    const std::vector<uint64_t>& node_up = up[node];
-    for (const auto& c : node->children) {
-      std::vector<uint64_t> cu(c->block.NumRows(), 0);
-      size_t rows = node->block.NumRows();
-      for (size_t r = 0; r < rows; ++r) {
-        if (!node->RowValid(r) || node_up[r] == 0) continue;
-        // Product over siblings of c.
-        uint64_t w = node_up[r];
-        for (const auto& s : node->children) {
-          if (s.get() == c.get()) continue;
-          const std::vector<uint64_t>& scum = cum[s.get()];
-          const IndexRange& range = s->parent_index[r];
-          w *= scum[range.end] - scum[range.begin];
-          if (w == 0) break;
-        }
-        if (w == 0) continue;
-        const IndexRange& range = c->parent_index[r];
-        for (uint64_t j = range.begin; j < range.end; ++j) cu[j] += w;
-      }
-      up[c.get()] = std::move(cu);
-    }
+  std::vector<const FTreeNode*> path;  // target .. root
+  for (const FTreeNode* n = target; n != nullptr; n = n->parent) {
+    path.push_back(n);
   }
-
-  const std::vector<uint64_t>& tdown = down[target];
-  const std::vector<uint64_t>& tup = up[target];
-  std::vector<uint64_t> counts(target->block.NumRows(), 0);
-  for (size_t r = 0; r < counts.size(); ++r) counts[r] = tdown[r] * tup[r];
-  return counts;
+  // up[row] of the current path node: the combinations that the tree
+  // outside its subtree offers the row. Only the root -> target path
+  // carries such an array; every other subtree contributes range weights.
+  std::vector<uint64_t> up(root_->block.NumRows(), 1);
+  for (size_t i = path.size() - 1; i > 0; --i) {
+    const FTreeNode* child = path[i - 1];
+    MultiplyByChildren(path[i], child, up.data());
+    // Each parent row adds its weight over its child range: a difference
+    // array plus one prefix sum, O(parent rows + child rows).
+    std::vector<uint64_t> next(child->block.NumRows() + 1, 0);
+    for (size_t r = 0; r < up.size(); ++r) {
+      const IndexRange& range = child->parent_index[r];
+      next[range.begin] += up[r];
+      next[range.end] -= up[r];
+    }
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    next.pop_back();
+    up = std::move(next);
+  }
+  MultiplyByChildren(target, nullptr, up.data());
+  return up;
 }
 
 void FTree::Flatten(const std::vector<std::string>& columns, FlatBlock* out,

@@ -10,7 +10,9 @@
 //    over the preorder node list whose per-tuple work is O(|schema|),
 //    independent of the number of encoded tuples.
 //  * tuple-count DP — counts encoded tuples (optionally per row of a chosen
-//    node) without enumerating them, via down/up products with prefix sums.
+//    node) without enumerating them: subtree counts as prefix sums, and
+//    "rest of the tree" counts along the root -> node path only. A leaf
+//    without a selection vector weighs its range length and costs nothing.
 //    This is what lets COUNT(*) aggregations run "directly" on the
 //    factorized form.
 #ifndef GES_EXECUTOR_FTREE_H_
@@ -84,6 +86,8 @@ class FTree {
 
   // Number of valid encoded tuples that use each row of `target`
   // (multiplicity of the row across the whole tree). Size == target rows.
+  // Costs O(rows on the root -> target path) plus O(rows) of every subtree
+  // hanging off it, except leaves without a selection vector.
   std::vector<uint64_t> TupleCountsForNode(const FTreeNode* target) const;
 
   // Materializes the named columns of every valid tuple into `out` (whose

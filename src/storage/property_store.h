@@ -43,7 +43,6 @@ class PropertyTable {
   size_t AppendRow();
 
   const ValueVector& Column(int slot) const { return columns_[slot]; }
-  ValueVector& MutableColumn(int slot) { return columns_[slot]; }
 
   Value Get(size_t row, int slot) const { return columns_[slot].GetValue(row); }
   void Set(size_t row, int slot, const Value& v) {

@@ -498,17 +498,6 @@ Status LoadGraph(std::string_view image, Graph* graph) {
   return Status::OK();
 }
 
-Status SaveGraphFile(const Graph& graph, const std::string& path) {
-  std::string image;
-  GES_RETURN_IF_ERROR(SaveGraph(graph, &image));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::NotFound("cannot open " + path);
-  out.write(image.data(), static_cast<std::streamsize>(image.size()));
-  out.close();
-  if (!out) return Status::Error("write failure: " + path);
-  return Status::OK();
-}
-
 Status LoadGraphFile(const std::string& path, Graph* graph) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open " + path);

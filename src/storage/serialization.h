@@ -39,7 +39,6 @@ namespace ges {
 
 // Appends the snapshot image of `graph` (which must be finalized) to `out`.
 Status SaveGraph(const Graph& graph, std::string* out);
-Status SaveGraphFile(const Graph& graph, const std::string& path);
 
 // Loads an image into `graph`, which must be freshly constructed (no
 // schema, no data). The loaded graph is finalized and ready for reads and

@@ -123,7 +123,7 @@ TEST(EngineDeadlineTest, StressExpandHonorsDeadline) {
 
   // Baseline: without a deadline the plan must be slow enough that the
   // deadline below actually bites (otherwise the test proves nothing).
-  constexpr double kDeadlineSeconds = 0.08;
+  constexpr double kDeadlineSeconds = 0.05;
   {
     Timer t;
     ExecOptions opts;

@@ -5,15 +5,13 @@
 // breaking old snapshot files, old WAL segments or peers on the wire.
 //
 // Only entry points whose signatures are stable across codec refactors are
-// used (the Encode* functions and SaveGraphFile), so the same file checks
-// an old build and a new one against the same images.
+// used (the Encode* functions and SaveGraph, whose image is the snapshot
+// file's bytes), so the same file checks an old build and a new one against
+// the same images.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -208,15 +206,9 @@ TEST(CodecGoldenTest, WalFrameAndReplicationFrame) {
 // --- GESSNAP4 snapshot file ------------------------------------------------
 
 std::string SnapshotImage(const Graph& g) {
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("ges_codec_golden_" +
-                             std::to_string(::getpid()) + ".ges"))
-                               .string();
-  EXPECT_TRUE(SaveGraphFile(g, path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)), {});
-  std::filesystem::remove(path);
-  return bytes;
+  std::string image;
+  EXPECT_TRUE(SaveGraph(g, &image).ok());
+  return image;
 }
 
 TEST(CodecGoldenTest, TinyGraphSnapshot) {

@@ -10,11 +10,20 @@
 namespace ges {
 namespace {
 
+// Which nodes RandomTree gives a selection vector. kNone makes every leaf a
+// unit leaf (the count DP weighs its ranges by length); kAll puts every
+// node on the prefix-sum path; kRandom mixes both in one tree.
+enum class SelMode { kNone, kAll, kRandom };
+constexpr SelMode kSelModes[] = {SelMode::kNone, SelMode::kAll,
+                                 SelMode::kRandom};
+
 // Builds a random tree with up to `max_nodes` nodes and `max_fanout` rows
 // per parent row; returns the tree. Every node gets one int64 column with
-// globally unique values and a random selection vector.
+// globally unique values; `mode` decides which nodes get a random
+// selection vector.
 std::unique_ptr<FTree> RandomTree(Rng& rng, int max_nodes, int max_fanout,
-                                  double invalid_prob) {
+                                  double invalid_prob,
+                                  SelMode mode = SelMode::kRandom) {
   auto tree = std::make_unique<FTree>();
   struct Pending {
     FTreeNode* node;
@@ -56,7 +65,8 @@ std::unique_ptr<FTree> RandomTree(Rng& rng, int max_nodes, int max_fanout,
   }
   // Random selections.
   for (FTreeNode* n : nodes) {
-    if (local.NextDouble() < 0.7) {
+    if (mode == SelMode::kNone) break;
+    if (mode == SelMode::kAll || local.NextDouble() < 0.7) {
       std::vector<uint8_t>& sel = n->MutableSel();
       for (auto& s : sel) s = local.NextDouble() < invalid_prob ? 0 : 1;
     }
@@ -93,38 +103,45 @@ class FTreeRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FTreeRandomTest, CountDpMatchesEnumeratorAndOracle) {
   Rng rng(GetParam() * 7919 + 1);
-  auto tree = RandomTree(rng, 6, 4, 0.3);
-  uint64_t dp = tree->CountTuples();
-  uint64_t oracle = BruteForceTotal(*tree);
-  TupleEnumerator e(*tree);
-  uint64_t enumerated = 0;
-  while (e.Next()) ++enumerated;
-  EXPECT_EQ(dp, oracle);
-  EXPECT_EQ(enumerated, oracle);
+  for (SelMode mode : kSelModes) {
+    auto tree = RandomTree(rng, 6, 4, 0.3, mode);
+    uint64_t dp = tree->CountTuples();
+    uint64_t oracle = BruteForceTotal(*tree);
+    TupleEnumerator e(*tree);
+    uint64_t enumerated = 0;
+    while (e.Next()) ++enumerated;
+    EXPECT_EQ(dp, oracle);
+    EXPECT_EQ(enumerated, oracle);
+  }
 }
 
 TEST_P(FTreeRandomTest, PerRowMultiplicitiesSumToTotal) {
   Rng rng(GetParam() * 104729 + 3);
-  auto tree = RandomTree(rng, 5, 4, 0.25);
-  uint64_t total = tree->CountTuples();
-  for (const FTreeNode* node : tree->Preorder()) {
-    std::vector<uint64_t> counts = tree->TupleCountsForNode(node);
-    uint64_t sum = 0;
-    for (uint64_t c : counts) sum += c;
-    EXPECT_EQ(sum, total) << "node multiplicities must partition the tuples";
+  for (SelMode mode : kSelModes) {
+    auto tree = RandomTree(rng, 5, 4, 0.25, mode);
+    uint64_t total = tree->CountTuples();
+    for (const FTreeNode* node : tree->Preorder()) {
+      std::vector<uint64_t> counts = tree->TupleCountsForNode(node);
+      uint64_t sum = 0;
+      for (uint64_t c : counts) sum += c;
+      EXPECT_EQ(sum, total) << "node multiplicities must partition the tuples";
+    }
   }
 }
 
 TEST_P(FTreeRandomTest, MultiplicityMatchesEnumerator) {
   Rng rng(GetParam() * 31337 + 11);
-  auto tree = RandomTree(rng, 5, 3, 0.2);
-  // Pick a node; count per-row occurrences through the enumerator.
-  auto nodes = tree->Preorder();
-  const FTreeNode* target = nodes[nodes.size() / 2];
-  std::vector<uint64_t> observed(target->block.NumRows(), 0);
-  TupleEnumerator e(*tree);
-  while (e.Next()) ++observed[e.RowOf(target)];
-  EXPECT_EQ(tree->TupleCountsForNode(target), observed);
+  for (SelMode mode : kSelModes) {
+    auto tree = RandomTree(rng, 5, 3, 0.2, mode);
+    // Every node as the target: its per-row occurrences, counted through
+    // the enumerator, must equal the DP's multiplicities.
+    for (const FTreeNode* target : tree->Preorder()) {
+      std::vector<uint64_t> observed(target->block.NumRows(), 0);
+      TupleEnumerator e(*tree);
+      while (e.Next()) ++observed[e.RowOf(target)];
+      EXPECT_EQ(tree->TupleCountsForNode(target), observed);
+    }
+  }
 }
 
 TEST_P(FTreeRandomTest, FlattenRowCountMatchesAndRespectsLimit) {

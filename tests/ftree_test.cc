@@ -102,6 +102,55 @@ TEST_F(Figure7Tree, TupleCountsForRoot) {
   EXPECT_EQ(counts, (std::vector<uint64_t>{1, 2}));
 }
 
+// A pointer-join leaf (lazy segments read straight from adjacency lists)
+// under a filtered parent: the shape IC5 counts over. The leaf has no
+// selection vector, so the count DP weighs its ranges by their length.
+TEST(FTreeEdge, LazyLeafUnderFilteredParentMatchesEnumerator) {
+  static const VertexId kPosts[] = {10, 11, 12, 13, 14, 15};
+  FTree tree;
+  FTreeNode* r = tree.CreateRoot();
+  ValueVector pid(ValueType::kInt64);
+  pid.AppendInt(1);
+  pid.AppendInt(2);
+  r->block.AddColumn("p", std::move(pid));
+  tree.RegisterColumns(r);
+
+  FTreeNode* forum = tree.AddChild(r);
+  ValueVector fid(ValueType::kInt64);
+  for (int i = 0; i < 4; ++i) fid.AppendInt(100 + i);
+  forum->block.AddColumn("forum", std::move(fid));
+  forum->parent_index = {{0, 3}, {3, 4}};
+  forum->MutableSel() = {1, 0, 1, 1};
+  tree.RegisterColumns(forum);
+
+  // Forum rows 0..3 own 2, 1, 0 and 3 posts.
+  FTreeNode* post = tree.AddChild(forum);
+  post->block.InitLazy("post");
+  post->block.AppendSegment(AdjSpan{kPosts, nullptr, 2});
+  post->block.AppendSegment(AdjSpan{kPosts + 2, nullptr, 1});
+  post->block.AppendSegment(AdjSpan{kPosts + 3, nullptr, 0});
+  post->block.AppendSegment(AdjSpan{kPosts + 3, nullptr, 3});
+  post->parent_index = {{0, 2}, {2, 3}, {3, 3}, {3, 6}};
+  tree.RegisterColumns(post);
+
+  // Valid tuples: (1, 100, 10..11) and (2, 103, 13..15); forum 101 is
+  // filtered out and forum 102 has no post.
+  EXPECT_EQ(tree.CountTuples(), 5u);
+  EXPECT_EQ(tree.TupleCountsForNode(forum),
+            (std::vector<uint64_t>{2, 0, 0, 3}));
+  for (const FTreeNode* target : tree.Preorder()) {
+    std::vector<uint64_t> observed(target->block.NumRows(), 0);
+    uint64_t enumerated = 0;
+    TupleEnumerator e(tree);
+    while (e.Next()) {
+      ++observed[e.RowOf(target)];
+      ++enumerated;
+    }
+    EXPECT_EQ(tree.CountTuples(), enumerated);
+    EXPECT_EQ(tree.TupleCountsForNode(target), observed);
+  }
+}
+
 TEST_F(Figure7Tree, SelectionInvalidatesSubtreeTuples) {
   // Invalidate p2: only the single p1 tuple remains.
   FTreeNode* r = tree_.NodeOfColumn("pId");

@@ -1,7 +1,13 @@
 // Operator-level tests on the paper's Figure 8 tiny graph: every plan
-// operator exercised across all engine variants, plus edge cases.
+// operator exercised across all engine variants, plus edge cases, and the
+// shared sort and hash-aggregate kernels checked on random rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "common/random.h"
 #include "executor/executor.h"
 #include "executor/optimizer.h"
 #include "tests/test_util.h"
@@ -367,6 +373,85 @@ TEST_F(OperatorsTest, StatsPopulated) {
     for (const OpStats& os : r.stats.ops) {
       EXPECT_LE(os.intermediate_bytes, r.stats.peak_intermediate_bytes);
     }
+  }
+}
+
+// A sort, limited or not, returns exactly the stable sort's prefix: ties
+// keep their input order.
+TEST(SortAndLimitTest, LimitKeepsStableOrderAmongTies) {
+  Schema schema;
+  schema.Add("k", ValueType::kInt64);
+  schema.Add("seq", ValueType::kInt64);
+  Rng rng(7);
+  FlatBlock input(schema);
+  std::vector<std::pair<int64_t, int64_t>> oracle;  // (k, seq)
+  for (int i = 0; i < 200; ++i) {
+    int64_t k = static_cast<int64_t>(rng.Uniform(5));
+    input.AppendRow({Value::Int(k), Value::Int(i)});
+    oracle.emplace_back(k, i);
+  }
+  for (bool asc : {true, false}) {
+    std::vector<std::pair<int64_t, int64_t>> sorted = oracle;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&](const auto& a, const auto& b) {
+                       return asc ? a.first < b.first : a.first > b.first;
+                     });
+    for (uint64_t limit : {uint64_t{0}, uint64_t{1}, uint64_t{7}, uint64_t{40},
+                           uint64_t{199}, uint64_t{200}, uint64_t{500},
+                           UINT64_MAX}) {
+      FlatBlock top = input;
+      SortAndLimit(&top, {{"k", asc}}, limit);
+      ASSERT_EQ(top.NumRows(), std::min<uint64_t>(limit, 200));
+      for (size_t r = 0; r < top.NumRows(); ++r) {
+        EXPECT_EQ(top.At(r, 1).AsInt(), sorted[r].second)
+            << "asc=" << asc << " limit=" << limit << " row=" << r;
+      }
+    }
+  }
+}
+
+// Enough groups to grow the group index several times, with every
+// aggregate kind, against a map oracle; groups come out in first-encounter
+// order.
+TEST(HashAggregateTest, ManyGroupsMatchOracle) {
+  Schema schema;
+  schema.Add("g", ValueType::kInt64);
+  schema.Add("v", ValueType::kInt64);
+  Rng rng(11);
+  FlatBlock input(schema);
+  struct Oracle {
+    int64_t count = 0, sum = 0, min = INT64_MAX, max = INT64_MIN;
+    std::set<int64_t> distinct;
+  };
+  std::map<int64_t, Oracle> oracle;
+  std::vector<int64_t> first_seen;
+  for (int i = 0; i < 6000; ++i) {
+    int64_t g = static_cast<int64_t>(rng.Uniform(1500)) * 7919;
+    int64_t v = static_cast<int64_t>(rng.Uniform(50));
+    input.AppendRow({Value::Int(g), Value::Int(v)});
+    if (oracle.count(g) == 0) first_seen.push_back(g);
+    Oracle& o = oracle[g];
+    ++o.count;
+    o.sum += v;
+    o.min = std::min(o.min, v);
+    o.max = std::max(o.max, v);
+    o.distinct.insert(v);
+  }
+  FlatBlock out = HashAggregate(
+      input, {"g"},
+      {AggSpec{AggSpec::kCount, "", "cnt"}, AggSpec{AggSpec::kSum, "v", "sum"},
+       AggSpec{AggSpec::kMin, "v", "min"}, AggSpec{AggSpec::kMax, "v", "max"},
+       AggSpec{AggSpec::kCountDistinct, "v", "nd"}});
+  ASSERT_EQ(out.NumRows(), first_seen.size());
+  for (size_t r = 0; r < out.NumRows(); ++r) {
+    int64_t g = out.At(r, 0).AsInt();
+    ASSERT_EQ(g, first_seen[r]);
+    const Oracle& o = oracle.at(g);
+    EXPECT_EQ(out.At(r, 1).AsInt(), o.count);
+    EXPECT_EQ(out.At(r, 2).AsInt(), o.sum);
+    EXPECT_EQ(out.At(r, 3).AsInt(), o.min);
+    EXPECT_EQ(out.At(r, 4).AsInt(), o.max);
+    EXPECT_EQ(out.At(r, 5).AsInt(), static_cast<int64_t>(o.distinct.size()));
   }
 }
 
