@@ -242,6 +242,7 @@ FlatBlock GroupedAggregator::Finish() {
 
 void SortAndLimit(FlatBlock* block, const std::vector<SortKey>& keys,
                   uint64_t limit) {
+  if (keys.empty() && limit >= block->NumRows()) return;
   std::vector<int> idx;
   std::vector<bool> asc;
   for (const SortKey& k : keys) {
@@ -612,15 +613,11 @@ QueryResult Executor::Run(const Plan& plan, const GraphView& view) const {
       case ExecMode::kFactorized:
         result = RunFactorized(plan, view);
         break;
-      case ExecMode::kFactorizedFused: {
-        if (options_.plan_is_optimized) {
-          result = RunFactorized(plan, view);
-        } else {
-          Plan fused = OptimizePlan(plan, options_, &view);
-          result = RunFactorized(fused, view);
-        }
+      case ExecMode::kFactorizedFused:
+        result = plan.optimized
+                     ? RunFactorized(plan, view)
+                     : RunFactorized(OptimizePlan(plan, options_, &view), view);
         break;
-      }
     }
   } catch (const QueryInterrupted& e) {
     // A checkpoint fired (deadline/cancel/memory via options_.context).

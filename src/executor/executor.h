@@ -8,13 +8,17 @@
 //   kFactorized      — the factorized executor: operators run natively on
 //                      the f-Tree, de-factoring only when required
 //                      (the paper's "GES_f");
-//   kFactorizedFused — factorized + operator fusion (FilterPushDown into
-//                      Expand, TopK during de-factoring, AggregateProjectTop)
-//                      and pointer-based joins (the paper's "GES_f*").
+//   kFactorizedFused — the same factorized executor running the plan
+//                      OptimizePlan rewrites (FilterPushDown into Expand,
+//                      TopK during de-factoring, AggregateProjectTop,
+//                      IntersectExpand); the paper's "GES_f*". GES_f* differs
+//                      from GES_f only by the plan it runs.
 //
 // All variants interpret the same Plan and must produce identical result
 // relations (up to row order before the final OrderBy), which the test
-// suite verifies — our stand-in for the LDBC audit.
+// suite verifies — our stand-in for the LDBC audit. kVolcano and kFlat
+// evaluate expressions through the interpreted BoundExpr walk and serve as
+// the reference for the factorized engine's compiled kernels.
 #ifndef GES_EXECUTOR_EXECUTOR_H_
 #define GES_EXECUTOR_EXECUTOR_H_
 
@@ -45,8 +49,11 @@ struct ExecOptions {
   // Pointer-based join: Expand stores (ptr, len) into adjacency arrays
   // instead of copying neighbor ids (factorized modes only).
   bool pointer_join = true;
-  // Branch-free selection-vector kernels for simple int comparisons
-  // (Section 5, "Vectorization"); factorized modes only.
+  // Compiled selection-vector kernels for Filter (Section 5,
+  // "Vectorization"; DESIGN.md §9). When false, a Filter confined to one
+  // f-Tree node takes the interpreted BoundExpr walk instead (the Figure 3
+  // ablation); factorized modes only. Fused expand-filters, property
+  // fetches and computed projections always run their column kernels.
   bool vectorized_filter = true;
   // Maximum concurrent workers for intra-query parallelism (the Runtime
   // component of Figure 1). <= 1 = sequential. Operators whose f-Tree
@@ -56,7 +63,8 @@ struct ExecOptions {
   // the same pool the driver uses for inter-query parallelism. Results are
   // bit-identical for every setting.
   int intra_query_threads = 1;
-  // Individual fusion rules (applied only in kFactorizedFused).
+  // Individual fusion rules, read by OptimizePlan (which kFactorizedFused
+  // runs on plans not yet optimized).
   bool fuse_filter_into_expand = true;
   bool fuse_topk = true;
   bool fuse_agg_project_top = true;
@@ -69,27 +77,15 @@ struct ExecOptions {
   // Per-operator memory/row accounting (Figure 3, Table 2). Disable for
   // pure-throughput runs to avoid measurement overhead.
   bool collect_stats = true;
-  // Compiled expression kernels + batched property gather (the vectorized
-  // engine, DESIGN.md §9): filters, fused expand-filter, property fetch and
-  // computed projections run type-specialized column kernels instead of the
-  // interpreted BoundExpr walk. When false every path takes the interpreted
-  // route — the differential-testing oracle. Filter kernels additionally
-  // require `vectorized_filter` (the legacy ablation switch).
-  bool vector_kernels = true;
   // Deadline/cancellation context (service layer). Not owned; may be null
   // (direct engine use). When set, operators poll it at morsel boundaries
   // and Run() reports interruption via QueryResult::interrupted instead of
-  // finishing the query. Kept last so existing designated initializers
-  // stay valid.
+  // finishing the query.
   QueryContext* context = nullptr;
   // Per-column statistics (CollectPlanColumnStats, optimizer.h) consumed by
   // the vectorized compiler so conjunct ordering uses real NDV / min-max
   // instead of static guesses. Not owned; may be null.
   const std::unordered_map<std::string, ColumnStat>* column_stats = nullptr;
-  // The plan already went through OptimizePlan (a cached prepared-statement
-  // template): kFactorizedFused skips its implicit optimization pass so the
-  // cached rewrite is executed as stored.
-  bool plan_is_optimized = false;
 };
 
 struct OpStats {
@@ -138,8 +134,10 @@ class Executor {
   ExecMode mode() const { return mode_; }
   const ExecOptions& options() const { return options_; }
 
-  // Executes `plan` against the snapshot. In kFactorizedFused mode the
-  // fusion rewrites (optimizer.h) are applied to the plan first.
+  // Executes `plan` against the snapshot. kFactorizedFused first runs
+  // OptimizePlan on a plan that has not been through it (!plan.optimized);
+  // an optimized plan, such as a prepared-statement template, runs as
+  // stored.
   QueryResult Run(const Plan& plan, const GraphView& view) const;
 
  private:
@@ -193,7 +191,9 @@ void CollectNeighbors(const GraphView& view,
                       std::vector<int64_t>* stamps = nullptr,
                       NeighborScratch* scratch = nullptr);
 
-// Sorts `block` rows by `keys` and truncates to `limit`.
+// Sorts `block` rows by `keys` and truncates to `limit`. Returns at once
+// when there are no keys and the limit keeps every row (the unsorted
+// AggProjectTop).
 void SortAndLimit(FlatBlock* block, const std::vector<SortKey>& keys,
                   uint64_t limit);
 

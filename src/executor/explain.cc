@@ -150,7 +150,7 @@ std::string DescribeOp(const PlanOp& op) {
         os << (i > 0 ? ", " : "") << op.aggs[i].output;
       }
       os << "]";
-      if (op.type == OpType::kAggProjectTop) os << " limit=" << op.limit;
+      if (op.limit != UINT64_MAX) os << " limit=" << op.limit;
       break;
     }
     case OpType::kLimit:

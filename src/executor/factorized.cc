@@ -465,106 +465,80 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
   ValueVector ids(ValueType::kVertex);
   ValueVector props(op.property_type);
 
-  if (options.vector_kernels) {
-    // Batched path: collect every candidate neighbor, gather their property
-    // values in one batch (MVCC overlay and string dictionary resolved once
-    // per batch, storage/graph.h), refine a byte mask with the compiled
-    // kernel, then compact survivors. Missing properties take the typed
-    // zero placeholder — the same value a non-fused GetProperty step would
-    // materialize into the column before filtering.
-    std::vector<VertexId> cand;
-    std::vector<IndexRange> cand_range(rows, IndexRange{0, 0});
-    // Each span is drained into `cand` before the next fetch, so one
-    // decode scratch serves every (row, rel) pair.
-    AdjScratch adj;
-    // Governor charge point: the candidate buffer is the fused operator's
-    // memory spike (every neighbor before filtering); charged as it grows,
-    // released once survivors are compacted into the child block.
-    BudgetTracker cand_tracker(
-        options.context != nullptr ? options.context->budget() : nullptr);
-    for (size_t r = 0; r < rows; ++r) {
-      if ((r & 255u) == 0) {
-        cand_tracker.Update(cand.capacity() * sizeof(VertexId));
-        ThrowIfInterrupted(options.context);
-      }
-      if (!src->RowValid(r)) continue;
-      VertexId v = src->block.GetValue(r, src_col).AsVertex();
-      uint64_t begin = cand.size();
-      for (RelationId rel : op.rels) {
-        AdjSpan span = view.Neighbors(rel, v, &adj);
-        cand.insert(cand.end(), span.ids, span.ids + span.size);
-      }
-      cand_range[r] = IndexRange{begin, cand.size()};
+  // Collect every candidate neighbor, gather their property values in one
+  // batch (MVCC overlay and string dictionary resolved once per batch,
+  // storage/graph.h), refine a byte mask with the compiled kernel, then
+  // compact survivors. Missing properties take the typed zero placeholder —
+  // the same value a non-fused GetProperty step would materialize into the
+  // column before filtering.
+  std::vector<VertexId> cand;
+  std::vector<IndexRange> cand_range(rows, IndexRange{0, 0});
+  // Each span is drained into `cand` before the next fetch, so one
+  // decode scratch serves every (row, rel) pair.
+  AdjScratch adj;
+  // Governor charge point: the candidate buffer is the fused operator's
+  // memory spike (every neighbor before filtering); charged as it grows,
+  // released once survivors are compacted into the child block.
+  BudgetTracker cand_tracker(
+      options.context != nullptr ? options.context->budget() : nullptr);
+  for (size_t r = 0; r < rows; ++r) {
+    if ((r & 255u) == 0) {
+      cand_tracker.Update(cand.capacity() * sizeof(VertexId));
+      ThrowIfInterrupted(options.context);
     }
+    if (!src->RowValid(r)) continue;
+    VertexId v = src->block.GetValue(r, src_col).AsVertex();
+    uint64_t begin = cand.size();
+    for (RelationId rel : op.rels) {
+      AdjSpan span = view.Neighbors(rel, v, &adj);
+      cand.insert(cand.end(), span.ids, span.ids + span.size);
+    }
+    cand_range[r] = IndexRange{begin, cand.size()};
+  }
 
-    ValueVector cand_props(op.property_type);
-    view.GatherProperties(cand.data(), cand.size(), nullptr, op.property,
-                          &cand_props);
-    cand_tracker.Update(cand.capacity() * sizeof(VertexId) +
-                        cand_props.MemoryBytes() + cand.size());
-    ThrowIfInterrupted(options.context);
+  ValueVector cand_props(op.property_type);
+  view.GatherProperties(cand.data(), cand.size(), nullptr, op.property,
+                        &cand_props);
+  cand_tracker.Update(cand.capacity() * sizeof(VertexId) +
+                      cand_props.MemoryBytes() + cand.size());
+  ThrowIfInterrupted(options.context);
 
-    std::vector<uint8_t> keep(cand.size(), 1);
-    std::vector<const ValueVector*> phys{&cand_props};
-    std::unique_ptr<CompiledExpr> kernel = CompiledExpr::CompileFilter(
-        *op.predicate, pred_schema, phys, options.column_stats);
-    if (kernel != nullptr) {
-      CompiledExpr* k = kernel.get();
-      auto run = [k, &keep](size_t lo, size_t hi) {
-        k->EvalFilter(keep.data(), lo, hi);
-      };
-      TaskScheduler::Global().ParallelFor(0, cand.size(), kFilterMorselRows,
-                                          options.intra_query_threads, run,
-                                          options.context);
-    } else {
-      BoundExpr pred = BoundExpr::Bind(*op.predicate, pred_schema);
-      for (size_t i = 0; i < cand.size(); ++i) {
-        Value pv = cand_props.GetValue(i);
-        auto getter = [&pv](int) -> Value { return pv; };
-        keep[i] = pred.Eval(getter).AsBool() ? 1 : 0;
-      }
-    }
-
-    if (op.keep_property && cand_props.dict_encoded()) {
-      props.InitDict(cand_props.dict());
-    }
-    uint64_t off = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      uint64_t begin = off;
-      for (uint64_t i = cand_range[r].begin; i < cand_range[r].end; ++i) {
-        if (keep[i] == 0) continue;
-        ids.AppendVertex(cand[i]);
-        if (op.keep_property) props.AppendFrom(cand_props, i);
-        ++off;
-      }
-      child->parent_index[r] = IndexRange{begin, off};
-    }
-    cand_tracker.Update(0);  // survivors are charged by per-op accounting
+  std::vector<uint8_t> keep(cand.size(), 1);
+  std::vector<const ValueVector*> phys{&cand_props};
+  std::unique_ptr<CompiledExpr> kernel = CompiledExpr::CompileFilter(
+      *op.predicate, pred_schema, phys, options.column_stats);
+  if (kernel != nullptr) {
+    CompiledExpr* k = kernel.get();
+    auto run = [k, &keep](size_t lo, size_t hi) {
+      k->EvalFilter(keep.data(), lo, hi);
+    };
+    TaskScheduler::Global().ParallelFor(0, cand.size(), kFilterMorselRows,
+                                        options.intra_query_threads, run,
+                                        options.context);
   } else {
     BoundExpr pred = BoundExpr::Bind(*op.predicate, pred_schema);
-    AdjScratch adj;
-    uint64_t off = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      if ((r & 255u) == 0) ThrowIfInterrupted(options.context);
-      if (!src->RowValid(r)) continue;
-      VertexId v = src->block.GetValue(r, src_col).AsVertex();
-      uint64_t begin = off;
-      for (RelationId rel : op.rels) {
-        AdjSpan span = view.Neighbors(rel, v, &adj);
-        for (uint32_t i = 0; i < span.size; ++i) {
-          VertexId id = span.ids[i];
-          Value pv = view.Property(id, op.property);
-          if (!pred.Eval([&pv](int) -> Value { return pv; }).AsBool()) {
-            continue;
-          }
-          ids.AppendVertex(id);
-          if (op.keep_property) props.AppendValue(pv);
-          ++off;
-        }
-      }
-      child->parent_index[r] = IndexRange{begin, off};
+    for (size_t i = 0; i < cand.size(); ++i) {
+      Value pv = cand_props.GetValue(i);
+      auto getter = [&pv](int) -> Value { return pv; };
+      keep[i] = pred.Eval(getter).AsBool() ? 1 : 0;
     }
   }
+
+  if (op.keep_property && cand_props.dict_encoded()) {
+    props.InitDict(cand_props.dict());
+  }
+  uint64_t off = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t begin = off;
+    for (uint64_t i = cand_range[r].begin; i < cand_range[r].end; ++i) {
+      if (keep[i] == 0) continue;
+      ids.AppendVertex(cand[i]);
+      if (op.keep_property) props.AppendFrom(cand_props, i);
+      ++off;
+    }
+    child->parent_index[r] = IndexRange{begin, off};
+  }
+  cand_tracker.Update(0);  // survivors are charged by per-op accounting
   child->block.AddColumn(op.out_column, std::move(ids));
   if (op.keep_property) {
     child->block.AppendAlignedColumn(prop_col, std::move(props));
@@ -575,7 +549,7 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
 // --- Projection / property fetch ---------------------------------------
 
 void FactGetProperty(FactState* state, const PlanOp& op,
-                     const GraphView& view, const ExecOptions& options) {
+                     const GraphView& view) {
   FTree& tree = *state->tree;
   FTreeNode* node = tree.NodeOfColumn(op.in_column);
   assert(node != nullptr);
@@ -583,48 +557,27 @@ void FactGetProperty(FactState* state, const PlanOp& op,
   size_t rows = node->block.NumRows();
   ValueVector out(op.property_type);
   out.Reserve(rows);
-  // Deselected rows receive a placeholder to keep row alignment (they are
-  // never enumerated).
-  if (options.vector_kernels) {
-    // Batched gather: the MVCC overlay and the string dictionary are
-    // resolved once per batch, base columns are copied slice-wise
-    // (Graph::GatherProperties). Lazy blocks gather straight from the
-    // adjacency segments — the ids are never materialized.
-    const uint8_t* sel = node->sel.empty() ? nullptr : node->sel.data();
-    if (node->block.lazy() && col == 0) {
-      uint64_t row = 0;
-      for (size_t seg = 0; seg < node->block.NumSegments(); ++seg) {
-        const AdjSpan& s = node->block.Segment(seg);
-        view.GatherProperties(s.ids, s.size,
-                              sel == nullptr ? nullptr : sel + row,
-                              op.property, &out);
-        row += s.size;
-      }
-    } else {
-      // Vertex columns store int64 physically; uint64 access to the same
-      // array is the sanctioned signed/unsigned aliasing case.
-      const ValueVector& ids = node->block.Column(col);
-      view.GatherProperties(
-          reinterpret_cast<const VertexId*>(ids.ints_data()), rows, sel,
-          op.property, &out);
+  // Batched gather: the MVCC overlay and the string dictionary are
+  // resolved once per batch, base columns are copied slice-wise
+  // (Graph::GatherProperties). Deselected rows receive a placeholder to
+  // keep row alignment (they are never enumerated). Lazy blocks gather
+  // straight from the adjacency segments — the ids are never materialized.
+  const uint8_t* sel = node->sel.empty() ? nullptr : node->sel.data();
+  if (node->block.lazy() && col == 0) {
+    uint64_t row = 0;
+    for (size_t seg = 0; seg < node->block.NumSegments(); ++seg) {
+      const AdjSpan& s = node->block.Segment(seg);
+      view.GatherProperties(s.ids, s.size,
+                            sel == nullptr ? nullptr : sel + row, op.property,
+                            &out);
+      row += s.size;
     }
-  } else if (col == 0) {
-    node->block.ForEachVertex([&](uint64_t row, VertexId v) {
-      if (!node->RowValid(row)) {
-        out.AppendValue(Value::Null());
-      } else {
-        out.AppendValue(view.Property(v, op.property));
-      }
-    });
   } else {
-    for (size_t r = 0; r < rows; ++r) {
-      if (!node->RowValid(r)) {
-        out.AppendValue(Value::Null());
-        continue;
-      }
-      VertexId v = node->block.GetValue(r, col).AsVertex();
-      out.AppendValue(view.Property(v, op.property));
-    }
+    // Vertex columns store int64 physically; uint64 access to the same
+    // array is the sanctioned signed/unsigned aliasing case.
+    const ValueVector& ids = node->block.Column(col);
+    view.GatherProperties(reinterpret_cast<const VertexId*>(ids.ints_data()),
+                          rows, sel, op.property, &out);
   }
   node->block.AppendAlignedColumn(op.out_column, std::move(out));
   tree.RegisterColumns(node);
@@ -693,8 +646,7 @@ bool TryFactFilter(FactState* state, const PlanOp& op,
   FTreeNode* node = SingleNodeOf(*state->tree, cols);
   if (node == nullptr && !cols.empty()) return false;
   if (node == nullptr) node = state->tree->root();
-  if (options.vector_kernels && options.vectorized_filter &&
-      TryVectorizedFilter(node, op, options)) {
+  if (options.vectorized_filter && TryVectorizedFilter(node, op, options)) {
     return true;
   }
   BoundExpr pred = BoundExpr::Bind(*op.predicate, node->block.schema());
@@ -727,17 +679,12 @@ bool TryFactProject(FactState* state, const PlanOp& op,
     size_t rows = node->block.NumRows();
     ValueVector out(c.type);
     out.Reserve(rows);
-    bool kernelized = false;
-    if (options.vector_kernels) {
-      std::vector<const ValueVector*> phys = PhysicalColumns(node->block);
-      std::unique_ptr<CompiledExpr> kernel =
-          CompiledExpr::CompileProject(*c.expr, node->block.schema(), phys);
-      if (kernel != nullptr) {
-        kernel->EvalProject(0, rows, &out);
-        kernelized = true;
-      }
-    }
-    if (!kernelized) {
+    std::vector<const ValueVector*> phys = PhysicalColumns(node->block);
+    std::unique_ptr<CompiledExpr> kernel =
+        CompiledExpr::CompileProject(*c.expr, node->block.schema(), phys);
+    if (kernel != nullptr) {
+      kernel->EvalProject(0, rows, &out);
+    } else {
       BoundExpr e = BoundExpr::Bind(*c.expr, node->block.schema());
       for (size_t r = 0; r < rows; ++r) {
         auto getter = [&](int i) -> Value {
@@ -785,8 +732,8 @@ bool TryFactAggregate(const FTree& tree, const std::vector<std::string>& group_b
   return true;
 }
 
-// Streaming aggregation over the enumerator: used by the fused
-// AggregateProjectTop when the direct DP path does not apply. Tuples are
+// Streaming aggregation over the enumerator: used by AggProjectTop when
+// the direct DP path does not apply. Tuples are
 // consumed one at a time and folded into the group states; memory stays
 // O(#groups) instead of O(#tuples).
 FlatBlock StreamingAggregate(const FTree& tree,
@@ -888,7 +835,7 @@ QueryResult Executor::RunFactorized(const Plan& plan,
           }
           break;
         case OpType::kGetProperty:
-          FactGetProperty(&state, op, view, options_);
+          FactGetProperty(&state, op, view);
           break;
         case OpType::kFilter:
           if (!TryFactFilter(&state, op, options_)) {
@@ -907,18 +854,12 @@ QueryResult Executor::RunFactorized(const Plan& plan,
         case OpType::kAggregate: {
           // GES_f handles only the "simplest case" natively (keys confined
           // to a single-node tree); complex aggregations de-factor first.
-          // GES_f* aggregates directly on the tree via the tuple-count DP,
-          // or streams tuples into group states — never materializing the
-          // flat intermediate.
+          // GES_f*'s optimizer turns the Aggregate into an AggProjectTop,
+          // which aggregates on the tree.
           FlatBlock out;
-          bool fused_engine = mode_ == ExecMode::kFactorizedFused;
-          bool single_node = state.tree->root()->children.empty();
-          if ((fused_engine || single_node) &&
+          if (state.tree->root()->children.empty() &&
               TryFactAggregate(*state.tree, op.group_by, op.aggs, &out)) {
             state.SwitchToFlat(std::move(out));
-          } else if (fused_engine) {
-            state.SwitchToFlat(
-                StreamingAggregate(*state.tree, op.group_by, op.aggs));
           } else {
             FlattenState(&state, options_);
             state.flat = ApplyFlatOp(std::move(state.flat), op, view, nullptr,

@@ -117,21 +117,6 @@ class FBlock {
   // copied via the stored pointer ... only if we have to do so").
   void Materialize();
 
-  // Iterates logical rows sequentially, calling fn(row, vertex_id) —
-  // avoids per-row binary search on lazy blocks.
-  template <typename Fn>
-  void ForEachVertex(Fn&& fn) const {
-    if (!lazy_) {
-      size_t n = columns_[0].size();
-      for (size_t i = 0; i < n; ++i) fn(i, columns_[0].GetVertex(i));
-      return;
-    }
-    uint64_t row = 0;
-    for (const AdjSpan& s : segments_) {
-      for (uint32_t k = 0; k < s.size; ++k) fn(row++, s.ids[k]);
-    }
-  }
-
   size_t MemoryBytes() const;
 
  private:

@@ -187,6 +187,7 @@ Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
   out.name = plan.name;
   out.output = plan.output;
   out.param_count = plan.param_count;
+  out.optimized = true;
 
   // Statistics snapshot for the cost model (may be null before the first
   // RebuildStats; every estimator degrades to adjMeta averages then).
@@ -294,8 +295,14 @@ Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
       i += 3;
       continue;
     }
-    // --- AggregateProjectTop: Aggregate ; [Project] ; OrderBy+Limit
+    // --- AggregateProjectTop: Aggregate ; [Project] ; OrderBy+Limit. A
+    // bare Aggregate becomes the unsorted form (no keys, no limit), so it
+    // aggregates on the f-Tree instead of de-factoring first.
     if (options.fuse_agg_project_top && ops[i].type == OpType::kAggregate) {
+      PlanOp fused;
+      fused.type = OpType::kAggProjectTop;
+      fused.group_by = ops[i].group_by;
+      fused.aggs = ops[i].aggs;
       size_t j = i + 1;
       const PlanOp* project = nullptr;
       if (j < ops.size() && ops[j].type == OpType::kProject) {
@@ -304,20 +311,18 @@ Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
       }
       if (j < ops.size() && ops[j].type == OpType::kOrderBy &&
           ops[j].limit != std::numeric_limits<uint64_t>::max()) {
-        PlanOp fused;
-        fused.type = OpType::kAggProjectTop;
-        fused.group_by = ops[i].group_by;
-        fused.aggs = ops[i].aggs;
         if (project != nullptr) {
           fused.selections = project->selections;
           fused.computed = project->computed;
         }
         fused.sort_keys = ops[j].sort_keys;
         fused.limit = ops[j].limit;
-        out.ops.push_back(std::move(fused));
         i = j + 1;
-        continue;
+      } else {
+        ++i;
       }
+      out.ops.push_back(std::move(fused));
+      continue;
     }
     // --- TopK: OrderBy with a small LIMIT
     if (options.fuse_topk && ops[i].type == OpType::kOrderBy &&

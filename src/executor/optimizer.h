@@ -19,7 +19,8 @@ namespace ges {
 //    neighbors and their properties are never listed);
 //  * AggregateProjectTop — Aggregate ; [Project] ; OrderBy+Limit  =>
 //    one fused operator that aggregates directly on the f-Tree (or streams
-//    tuples through group states) and keeps only the top-k rows;
+//    tuples through group states) and keeps only the top-k rows; a bare
+//    Aggregate becomes the same operator with no sort keys and no limit;
 //  * TopK — OrderBy with a small LIMIT  =>  bounded-heap de-factoring;
 //  * IntersectExpand — Expand ; ExpandInto+ over the new column  =>  one
 //    worst-case-optimal multiway intersection (DESIGN.md §12). When `view`
@@ -28,7 +29,8 @@ namespace ges {
 //    applied rule-based (the intersection is never asymptotically worse).
 //
 // Rewrites preserve result semantics; the equivalence tests run every
-// query through fused and unfused plans.
+// query through fused and unfused plans. The returned plan has
+// Plan::optimized set.
 Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
                   const GraphView* view = nullptr);
 

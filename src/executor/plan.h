@@ -33,10 +33,10 @@ enum class OpType : uint8_t {
   kDistinct,
   kExpandInto,     // edge-existence (semi/anti join) between bound columns
   kProcedure,      // stored-procedure escape hatch (IC13/IC14 path queries)
-  // Fused operators (emitted by the optimizer for GES_f*):
+  // Fused operators (emitted by OptimizePlan for GES_f*):
   kExpandFiltered,  // Expand + GetProperty + Filter fused (FilterPushDown)
   kTopK,            // OrderBy+Limit fused into de-factoring (bounded heap)
-  kAggProjectTop,   // Aggregate + Project + OrderBy/Limit fused
+  kAggProjectTop,   // Aggregate + [Project] + [OrderBy/Limit] fused
   // Worst-case-optimal multiway intersection (DESIGN.md §12): expands
   // in_column over `rels` and keeps only neighbors adjacent to every probe
   // column — a leapfrog intersection of k sorted adjacency lists.
@@ -139,6 +139,10 @@ struct Plan {
   // comparable results.
   std::vector<std::string> output;
   std::string name;  // for reporting (e.g. "IC5")
+  // Set by OptimizePlan, and only there: the ops are already the fused
+  // GES_f* form, so kFactorizedFused runs them as they are. Copies (such
+  // as BindPlanParams' bound plan) keep it.
+  bool optimized = false;
 };
 
 // Fluent plan construction. Example (the paper's Figure 8 query):

@@ -444,8 +444,10 @@ QueryResult RunVolcano(const Plan& plan, const GraphView& view) {
         pipeline = std::make_unique<VolProcedure>(op, view);
         break;
       default:
-        // Fused operators never reach the Volcano engine (plans are only
-        // optimized for kFactorizedFused); treat defensively as a bug.
+        // Fused operators never reach the Volcano engine: only
+        // OptimizePlan emits them, and only the kFactorizedFused paths
+        // (Executor::Run, the server's PrepareStatement) call it. Treat
+        // one here as a bug.
         assert(false && "fused operator in Volcano plan");
         break;
     }

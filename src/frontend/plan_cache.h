@@ -30,9 +30,10 @@
 
 namespace ges {
 
-// An immutable compiled template shared across sessions. `plan` has been
-// through OptimizePlan already (executors run it with plan_is_optimized);
-// execution binds positional parameters via BindPlanParams.
+// An immutable compiled template shared across sessions. Under the fused
+// exec mode `plan` has been through OptimizePlan already (Plan::optimized,
+// so executors run it as stored); execution binds positional parameters
+// via BindPlanParams, whose copy keeps that mark.
 struct PreparedPlan {
   std::string normalized;  // cache key (canonical text with $k slots)
   int param_count = 0;
@@ -45,9 +46,6 @@ struct PreparedPlan {
   std::unordered_map<std::string, ColumnStat> column_stats;
   // catalog().stats_epoch() when the template was built.
   uint64_t stats_epoch = 0;
-  // True when `plan` already went through OptimizePlan (the fused exec
-  // mode); executors then run it with ExecOptions::plan_is_optimized.
-  bool optimized = false;
 };
 
 class PlanCache {

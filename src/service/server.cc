@@ -310,58 +310,57 @@ void Server::ReaperLoop() {
   }
 }
 
+template <typename Fn>
+void Server::ForEachInflight(Fn&& fn) {
+  std::lock_guard<std::mutex> lk(sessions_mu_);
+  for (auto& [sid, entry] : sessions_) {
+    const std::shared_ptr<Session>& s = entry.session;
+    if (s->done.load(std::memory_order_acquire)) continue;
+    std::lock_guard<std::mutex> il(s->inflight_mu);
+    for (auto& [qid, q] : s->inflight) fn(s, qid, q);
+  }
+}
+
+bool Server::KillInflight(Session::InflightQuery* q) {
+  if (q->killed) return false;
+  q->killed = true;
+  q->ctx->Cancel();
+  stats_.governor_killed.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 void Server::WatchdogLoop() {
   const int64_t grace_ns =
       static_cast<int64_t>(config_.watchdog_grace_ms * 1e6);
   while (!stop_watchdog_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     int64_t now = QueryContext::NowNanos();
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    for (auto& [sid, entry] : sessions_) {
-      Session& s = *entry.session;
-      if (s.done.load(std::memory_order_acquire)) continue;
-      std::lock_guard<std::mutex> il(s.inflight_mu);
-      for (auto& [qid, q] : s.inflight) {
-        if (q.killed) continue;
-        int64_t dl = q.ctx->deadline_nanos();
-        if (dl == 0 || now < dl + grace_ns) continue;
-        // Past deadline + grace: either the query is stuck between
-        // cooperative checkpoints or a worker never picked up the
-        // cancellation. Force the flag (idempotent) and report it.
-        q.killed = true;
-        q.ctx->Cancel();
-        stats_.governor_killed.fetch_add(1, std::memory_order_relaxed);
-        size_t peak =
-            q.ctx->budget() != nullptr ? q.ctx->budget()->peak() : 0;
-        std::fprintf(stderr,
-                     "[ges_server] watchdog killed query %llu (%s) on "
-                     "session %llu: running %.1fms past its deadline "
-                     "(grace %.1fms), peak_memory=%zu bytes\n",
-                     static_cast<unsigned long long>(qid), q.name.c_str(),
-                     static_cast<unsigned long long>(sid), (now - dl) / 1e6,
-                     config_.watchdog_grace_ms, peak);
-      }
-    }
+    ForEachInflight([&](const std::shared_ptr<Session>& s, uint64_t qid,
+                        Session::InflightQuery& q) {
+      int64_t dl = q.ctx->deadline_nanos();
+      if (q.killed || dl == 0 || now < dl + grace_ns) return;
+      // Past deadline + grace: either the query is stuck between
+      // cooperative checkpoints or a worker never picked up the
+      // cancellation. Force the flag and report it.
+      KillInflight(&q);
+      size_t peak = q.ctx->budget() != nullptr ? q.ctx->budget()->peak() : 0;
+      std::fprintf(stderr,
+                   "[ges_server] watchdog killed query %llu (%s) on "
+                   "session %llu: running %.1fms past its deadline "
+                   "(grace %.1fms), peak_memory=%zu bytes\n",
+                   static_cast<unsigned long long>(qid), q.name.c_str(),
+                   static_cast<unsigned long long>(s->id), (now - dl) / 1e6,
+                   config_.watchdog_grace_ms, peak);
+    });
   }
 }
 
 uint32_t Server::KillQuery(uint64_t query_id) {
   uint32_t killed = 0;
-  std::lock_guard<std::mutex> lk(sessions_mu_);
-  for (auto& [sid, entry] : sessions_) {
-    Session& s = *entry.session;
-    if (s.done.load(std::memory_order_acquire)) continue;
-    std::lock_guard<std::mutex> il(s.inflight_mu);
-    auto it = s.inflight.find(query_id);
-    if (it != s.inflight.end() && !it->second.killed) {
-      it->second.killed = true;
-      it->second.ctx->Cancel();
-      ++killed;
-    }
-  }
-  if (killed > 0) {
-    stats_.governor_killed.fetch_add(killed, std::memory_order_relaxed);
-  }
+  ForEachInflight([&](const std::shared_ptr<Session>&, uint64_t qid,
+                      Session::InflightQuery& q) {
+    if (qid == query_id && KillInflight(&q)) ++killed;
+  });
   return killed;
 }
 
@@ -857,11 +856,10 @@ Status Server::PrepareStatement(const std::string& normalized_text,
   plan->stats_epoch = epoch;
   plan->param_count = compiled.param_count;
   if (config_.exec_mode == ExecMode::kFactorizedFused) {
-    // Optimize the template once; executions run it with
-    // plan_is_optimized so the per-query rewrite pass is skipped.
+    // Optimize the template once: the plan records it, so executions run
+    // the cached rewrite as stored. Other modes never see fused ops.
     GraphView view(graph_);
     compiled = OptimizePlan(compiled, ExecOptions{}, &view);
-    plan->optimized = true;
   }
   plan->column_stats = CollectPlanColumnStats(compiled, *graph_);
   plan->plan = std::move(compiled);
@@ -1274,7 +1272,6 @@ void Server::RunPlan(const Plan& plan, const PreparedPlan* tmpl,
   opts.context = ctx;
   if (tmpl != nullptr) {
     opts.column_stats = &tmpl->column_stats;  // tmpl outlives the run
-    opts.plan_is_optimized = tmpl->optimized;
   }
   Executor exec(config_.exec_mode, opts);
   GraphView view(graph_, snapshot);
@@ -1331,21 +1328,17 @@ void Server::Drain(double grace_seconds) {
     //    (or lost its submit to the closed intake): answer it SHUTTING_DOWN
     //    so every admitted query is answered exactly once.
     admission_->Shutdown();
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    for (auto& [id, entry] : sessions_) {
-      Session* s = entry.session.get();
-      std::vector<uint64_t> dropped;
-      {
-        std::lock_guard<std::mutex> il(s->inflight_mu);
-        for (const auto& [qid, q] : s->inflight) dropped.push_back(qid);
-      }
-      QueryResponse resp;
-      resp.status = WireStatus::kShuttingDown;
-      resp.message = "query dropped before execution";
-      for (uint64_t qid : dropped) {
-        resp.query_id = qid;
-        Answer(s, resp);
-      }
+    std::vector<std::pair<std::shared_ptr<Session>, uint64_t>> dropped;
+    ForEachInflight([&](const std::shared_ptr<Session>& s, uint64_t qid,
+                        Session::InflightQuery&) {
+      dropped.emplace_back(s, qid);
+    });
+    QueryResponse resp;
+    resp.status = WireStatus::kShuttingDown;
+    resp.message = "query dropped before execution";
+    for (const auto& [s, qid] : dropped) {
+      resp.query_id = qid;
+      Answer(s.get(), resp);
     }
   }
 

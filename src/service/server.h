@@ -293,6 +293,14 @@ class Server {
   // Cancels every in-flight query (any session) with this client-assigned
   // id; returns how many were cancelled. Backs the kKillQuery admin frame.
   uint32_t KillQuery(uint64_t query_id);
+  // Calls fn(session, query_id, query) for each in-flight query of every
+  // session whose connection thread is still running, holding sessions_mu_
+  // and that session's inflight_mu. Defined in server.cc.
+  template <typename Fn>
+  void ForEachInflight(Fn&& fn);
+  // Marks `q` killed, cancels it and counts it in governor_killed; false
+  // when it was killed already.
+  bool KillInflight(Session::InflightQuery* q);
   // Reaper-thread helpers: idle-session reaping (only when
   // idle_timeout_seconds > 0), the GC driver (interval + byte trigger),
   // and the watermark-stall detector. All run on the reaper cadence.

@@ -34,11 +34,6 @@ std::vector<OptionCombo> Combos() {
   }
   {
     ExecOptions o;
-    o.vector_kernels = false;
-    combos.push_back({"no_vector_kernels", o});
-  }
-  {
-    ExecOptions o;
     o.fuse_filter_into_expand = false;
     combos.push_back({"no_filter_fusion", o});
   }
@@ -68,7 +63,6 @@ std::vector<OptionCombo> Combos() {
     ExecOptions o;
     o.pointer_join = false;
     o.vectorized_filter = false;
-    o.vector_kernels = false;
     o.fuse_filter_into_expand = false;
     o.fuse_topk = false;
     o.fuse_agg_project_top = false;

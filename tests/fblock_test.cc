@@ -84,15 +84,6 @@ TEST_F(LazyFBlockTest, MaterializeCopiesIdsAndKeepsAlignment) {
   EXPECT_EQ(block_.NumRows(), 5u);
 }
 
-TEST_F(LazyFBlockTest, ForEachVertexIteratesInOrder) {
-  std::vector<VertexId> seen;
-  block_.ForEachVertex([&](uint64_t row, VertexId v) {
-    EXPECT_EQ(row, seen.size());
-    seen.push_back(v);
-  });
-  EXPECT_EQ(seen, (std::vector<VertexId>{5, 6, 7, 8, 9}));
-}
-
 TEST_F(LazyFBlockTest, MemoryIsSegmentsNotData) {
   // The lazy block's footprint is bounded by segment metadata, far below
   // the materialized id column for large adjacency lists.

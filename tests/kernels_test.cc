@@ -1,8 +1,8 @@
 // Differential tests for the compiled expression kernels: random expression
 // trees over random typed columns must match the interpreted BoundExpr
 // oracle row-by-row — both as selection-vector filters and as computed
-// projections — and whole plans must return identical relations in every
-// ExecMode with the kernels on and off.
+// projections — and whole plans must return in every ExecMode the relation
+// the interpreted kFlat engine returns.
 #include "executor/vector_expr.h"
 
 #include <gtest/gtest.h>
@@ -286,7 +286,7 @@ TEST_P(KernelDifferentialTest, DictColumnProjectAdoptsDictionary) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelDifferentialTest,
                          ::testing::Range(0, 8));
 
-// --- end-to-end: every ExecMode, kernels on vs off ----------------------
+// --- end-to-end: every ExecMode against the interpreted kFlat engine -----
 
 // A graph whose single label carries int, double, string (dictionary),
 // and date properties — enough surface for the random predicates above.
@@ -333,7 +333,7 @@ struct PropGraph {
   }
 };
 
-TEST(KernelEngineEquivalenceTest, AllModesAgreeKernelsOnAndOff) {
+TEST(KernelEngineEquivalenceTest, AllModesAgreeWithFlat) {
   PropGraph pg(99);
   GraphView view(&pg.graph);
   std::mt19937 rng(2024);
@@ -384,26 +384,20 @@ TEST(KernelEngineEquivalenceTest, AllModesAgreeKernelsOnAndOff) {
     }
     plan.output = {"n", "age", "score", "name", "day", "age1"};
 
-    ExecOptions oracle_opts;
-    oracle_opts.vector_kernels = false;
     std::vector<std::string> baseline =
-        SortedRows(Executor(ExecMode::kFlat, oracle_opts).Run(plan, view).table);
+        SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
     for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFlat,
                           ExecMode::kFactorized, ExecMode::kFactorizedFused}) {
-      for (bool kernels : {true, false}) {
-        ExecOptions o;
-        o.vector_kernels = kernels;
-        auto rows = SortedRows(Executor(mode, o).Run(plan, view).table);
-        EXPECT_EQ(rows, baseline)
-            << "mode=" << ExecModeName(mode) << " kernels=" << kernels
-            << " trial=" << trial;
-      }
+      auto rows = SortedRows(Executor(mode).Run(plan, view).table);
+      EXPECT_EQ(rows, baseline)
+          << "mode=" << ExecModeName(mode) << " trial=" << trial;
     }
   }
 }
 
 // The fused expand-filter path: predicates over a neighbor property, with
-// and without keeping the property column, kernels on and off.
+// and without keeping the property column, against kFlat's stepwise
+// expand, fetch and filter.
 TEST(KernelEngineEquivalenceTest, FusedExpandFilterAgrees) {
   PropGraph pg(7);
   GraphView view(&pg.graph);
@@ -411,6 +405,8 @@ TEST(KernelEngineEquivalenceTest, FusedExpandFilterAgrees) {
 
   for (int trial = 0; trial < 20; ++trial) {
     std::uniform_int_distribution<int> ints(-1000, 1000);
+    // Like FilterPushDown's fused ops, each predicate reads only the fused
+    // property column (m_age for the age trials, m_name otherwise).
     ExprPtr pred;
     switch (trial % 4) {
       case 0:
@@ -426,7 +422,7 @@ TEST(KernelEngineEquivalenceTest, FusedExpandFilterAgrees) {
         break;
       default:
         pred = Expr::And(
-            Expr::Ge(Expr::Col("m_age"), Expr::Lit(Value::Int(-500))),
+            Expr::Ge(Expr::Col("m_name"), Expr::Lit(Value::String("alpha"))),
             Expr::Ne(Expr::Col("m_name"), Expr::Lit(Value::String("zzz"))));
         break;
     }
@@ -448,26 +444,56 @@ TEST(KernelEngineEquivalenceTest, FusedExpandFilterAgrees) {
       ex.property = trial % 4 == 0 ? pg.age : pg.name;
       ex.property_type =
           trial % 4 == 0 ? ValueType::kInt64 : ValueType::kString;
+      // The fused property column the predicate reads (FusedPropertyColumn).
+      ex.other_column = trial % 4 == 0 ? "m_age" : "m_name";
       ex.keep_property = trial % 2 == 0;
       ex.predicate = pred;
       plan.ops.push_back(std::move(ex));
     }
     plan.output = {"n", "m"};
 
-    ExecOptions oracle_opts;
-    oracle_opts.vector_kernels = false;
-    std::vector<std::string> baseline = SortedRows(
-        Executor(ExecMode::kFactorizedFused, oracle_opts).Run(plan, view).table);
-    for (bool kernels : {true, false}) {
-      ExecOptions o;
-      o.vector_kernels = kernels;
+    std::vector<std::string> baseline =
+        SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
+    for (ExecMode mode : {ExecMode::kFactorized, ExecMode::kFactorizedFused}) {
       for (int threads : {1, 4}) {
+        ExecOptions o;
         o.intra_query_threads = threads;
-        auto rows = SortedRows(
-            Executor(ExecMode::kFactorizedFused, o).Run(plan, view).table);
+        auto rows = SortedRows(Executor(mode, o).Run(plan, view).table);
         EXPECT_EQ(rows, baseline)
-            << "kernels=" << kernels << " threads=" << threads
+            << "mode=" << ExecModeName(mode) << " threads=" << threads
             << " trial=" << trial;
+      }
+    }
+  }
+}
+
+// A predicate the kernel compiler rejects: it reads the head column of a
+// lazy Expand leaf, which has no physical vector (PhysicalColumns leaves it
+// null), so the factorized filter takes its interpreted BoundExpr fallback.
+TEST(KernelEngineEquivalenceTest, UncompilablePredicateFallsBack) {
+  PropGraph pg(11);
+  GraphView view(&pg.graph);
+  for (int64_t cut : {-200, 0, 300}) {
+    PlanBuilder b("lazy_head_filter");
+    b.ScanByLabel("n", pg.node)
+        .Expand("n", "m", {pg.out_rel})
+        .GetProperty("m", pg.age, ValueType::kInt64, "m_age")
+        .Filter(Expr::And(
+            Expr::Gt(Expr::Col("m_age"), Expr::Lit(Value::Int(cut))),
+            Expr::Lt(Expr::Col("m"), Expr::Lit(Value::Vertex(150)))))
+        .Output({"n", "m", "m_age"});
+    Plan plan = b.Build();
+    std::vector<std::string> baseline =
+        SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
+    ASSERT_FALSE(baseline.empty()) << "cut=" << cut;
+    for (ExecMode mode : {ExecMode::kFactorized, ExecMode::kFactorizedFused}) {
+      for (int threads : {1, 4}) {
+        ExecOptions o;
+        o.intra_query_threads = threads;
+        auto rows = SortedRows(Executor(mode, o).Run(plan, view).table);
+        EXPECT_EQ(rows, baseline)
+            << "mode=" << ExecModeName(mode) << " threads=" << threads
+            << " cut=" << cut;
       }
     }
   }

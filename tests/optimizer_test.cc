@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/test_util.h"
 
 namespace ges {
@@ -113,16 +115,41 @@ TEST(OptimizerTest, AggregateProjectOrderByFusesToAggProjectTop) {
   EXPECT_EQ(op.limit, 2u);
 }
 
-TEST(OptimizerTest, AggregateWithoutOrderByNotFused) {
+// A bare Aggregate (no OrderBy+LIMIT after it) becomes an AggProjectTop
+// with no sort keys and no limit, so GES_f* aggregates on the f-Tree:
+// every mode returns the same rows, and GES_f*, which never de-factors the
+// two-node tree, peaks below GES_f, which flattens it first.
+TEST(OptimizerTest, AggregateWithoutOrderByStaysOnTree) {
   TinyGraph tiny;
+  GraphView view(tiny.graph.get());
   PlanBuilder b("t");
   b.ScanByLabel("m", tiny.message)
       .Expand("m", "c", {tiny.msg_creator})
       .GetProperty("c", tiny.id, ValueType::kInt64, "cid")
       .Aggregate({"cid"}, {AggSpec{AggSpec::kCount, "", "cnt"}})
       .Output({"cid", "cnt"});
-  Plan fused = OptimizePlan(b.Build(), ExecOptions{});
-  EXPECT_EQ(fused.ops.back().type, OpType::kAggregate);
+  Plan plan = b.Build();
+  Plan fused = OptimizePlan(plan, ExecOptions{});
+  ASSERT_EQ(fused.ops.back().type, OpType::kAggProjectTop);
+  EXPECT_TRUE(fused.ops.back().sort_keys.empty());
+  EXPECT_EQ(fused.ops.back().limit, std::numeric_limits<uint64_t>::max());
+
+  auto baseline =
+      testutil::SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
+  EXPECT_EQ(baseline.size(), 3u);
+  for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFlat,
+                        ExecMode::kFactorized, ExecMode::kFactorizedFused}) {
+    auto rows =
+        testutil::SortedRows(Executor(mode).Run(plan, view).table);
+    EXPECT_EQ(rows, baseline) << ExecModeName(mode);
+  }
+  size_t ges_f = Executor(ExecMode::kFactorized)
+                     .Run(plan, view)
+                     .stats.peak_intermediate_bytes;
+  size_t ges_f_star = Executor(ExecMode::kFactorizedFused)
+                          .Run(plan, view)
+                          .stats.peak_intermediate_bytes;
+  EXPECT_LT(ges_f_star, ges_f);
 }
 
 TEST(OptimizerTest, FilterPushdownMovesFilterBeforeLaterExpands) {

@@ -6,6 +6,7 @@
 // literal plan under every execution mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -384,6 +385,39 @@ TEST(PreparedStatementTest, CachedPlanMatchesColdPlanAllModes) {
       EXPECT_EQ(Bytes(resp.table), Bytes(cold.table));
     }
   }
+}
+
+// A prepared template runs as stored: OptimizePlan marks the plan, the
+// bound copy keeps the mark, and kFactorizedFused does not optimize it
+// again. The template was optimized without the TopK rule, so an executor
+// that re-optimized it under its default options would run a TopK.
+TEST(PreparedStatementTest, BoundTemplateRunsAsStored) {
+  testutil::SnbFixture& fx = testutil::SnbFixture::Shared();
+  GraphView view(&fx.graph);
+  auto ran = [](const QueryResult& r, const std::string& op) {
+    return std::any_of(r.stats.ops.begin(), r.stats.ops.end(),
+                       [&](const OpStats& os) { return os.op == op; });
+  };
+  Plan compiled;
+  ASSERT_TRUE(CompileTemplate(std::string(kKnowsTemplate) + " LIMIT 3",
+                              fx.graph, {Value::Int(0)}, &compiled)
+                  .ok());
+  ExecOptions no_topk;
+  no_topk.fuse_topk = false;
+  Plan tmpl = OptimizePlan(compiled, no_topk, &view);
+  Plan bound;
+  ASSERT_TRUE(BindPlanParams(tmpl, {Value::Int(1)}, &bound).ok());
+  EXPECT_TRUE(bound.optimized);
+  QueryResult stored = Executor(ExecMode::kFactorizedFused).Run(bound, view);
+  EXPECT_TRUE(ran(stored, "OrderBy"));
+  EXPECT_FALSE(ran(stored, "TopK"));
+
+  // The unoptimized template is optimized by the executor and gets one.
+  Plan raw;
+  ASSERT_TRUE(BindPlanParams(compiled, {Value::Int(1)}, &raw).ok());
+  QueryResult fused = Executor(ExecMode::kFactorizedFused).Run(raw, view);
+  EXPECT_TRUE(ran(fused, "TopK"));
+  EXPECT_EQ(Bytes(stored.table), Bytes(fused.table));
 }
 
 // --- EXPLAIN ANALYZE est-vs-actual rows --------------------------------
