@@ -1,14 +1,17 @@
 // Microbenchmarks of the core factorized data structures (google-benchmark):
 // f-Tree enumeration, tuple-count DP (whole tree and per node of an
-// IC5-shaped tree), flat-vs-lazy expand, selection filtering. These
-// quantify the constant factors behind the macro results.
+// IC5-shaped tree), flat-vs-lazy expand, selection filtering, and the
+// storage read layer on a graph that has taken updates. These quantify the
+// constant factors behind the macro results.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 
 #include "datagen/snb_generator.h"
 #include "executor/executor.h"
 #include "executor/ftree.h"
+#include "harness/workload.h"
 #include "queries/ldbc.h"
 #include "runtime/scheduler.h"
 
@@ -171,6 +174,97 @@ void BM_ExpandIC9Parallel(benchmark::State& state) {
 BENCHMARK(BM_ExpandIC9Parallel)
     ->Arg(1)
     ->Arg(static_cast<int>(HardwareThreads()));
+
+// SF0.1 after a seeded stream of 3,500 DefaultMix-weighted IUs (about one
+// snb_mix episode's updates), so every relation the IUs write has overlay
+// entries. The sample is 2,048 bulk persons drawn uniformly, touched by the
+// IUs or not, as the complex reads meet them.
+struct UpdatedGraph {
+  Graph graph;
+  SnbData data;
+  LdbcContext ctx;
+  std::vector<VertexId> sample;
+  std::vector<VertexId> friends;  // the sample's KNOWS lists, concatenated
+
+  static UpdatedGraph& Get() {
+    static UpdatedGraph* g = new UpdatedGraph();
+    return *g;
+  }
+
+ private:
+  UpdatedGraph() {
+    SnbConfig config;
+    config.scale_factor = 0.1;
+    data = GenerateSnb(config, &graph);
+    ctx = LdbcContext::Resolve(graph, data.schema);
+    std::vector<MixEntry> ius;
+    for (const MixEntry& e : DefaultMix()) {
+      if (e.query.kind == QueryKind::kIU) ius.push_back(e);
+    }
+    MixSampler sampler(std::move(ius));
+    ParamGen params(&graph, &data, 7);
+    Rng rng(7);
+    for (uint64_t i = 1; i <= 3500; ++i) {
+      RunIU(sampler.Sample(rng).number, ctx, &graph, &params, i);
+    }
+    for (int i = 0; i < 2048; ++i) {
+      sample.push_back(data.persons[rng.Uniform(data.persons.size())]);
+    }
+    for (VertexId v : sample) {
+      AdjSpan span = graph.Neighbors(ctx.knows, v, graph.CurrentVersion());
+      friends.insert(friends.end(), span.ids, span.ids + span.size);
+    }
+  }
+};
+
+// Wall nanoseconds since `start` per unit of work.
+double NsPer(std::chrono::steady_clock::time_point start, uint64_t units) {
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return units == 0 ? 0.0 : elapsed.count() / static_cast<double>(units);
+}
+
+// Neighbors over KNOWS and person->post for each sampled person.
+void BM_NeighborsAfterUpdates(benchmark::State& state) {
+  UpdatedGraph& g = UpdatedGraph::Get();
+  const Version snapshot = g.graph.CurrentVersion();
+  AdjScratch scratch;
+  uint64_t calls = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    uint64_t edges = 0;
+    for (VertexId v : g.sample) {
+      for (RelationId rel : {g.ctx.knows, g.ctx.person_posts}) {
+        edges += g.graph.Neighbors(rel, v, snapshot, &scratch).size;
+      }
+    }
+    benchmark::DoNotOptimize(edges);
+    calls += 2 * g.sample.size();
+  }
+  state.counters["ns_per_call"] = NsPer(start, calls);
+}
+BENCHMARK(BM_NeighborsAfterUpdates);
+
+// GatherProperties of an int (creationDate) and a dictionary string
+// (firstName) column over the sample's friends.
+void BM_GatherAfterUpdates(benchmark::State& state) {
+  UpdatedGraph& g = UpdatedGraph::Get();
+  const Version snapshot = g.graph.CurrentVersion();
+  const Catalog& catalog = g.graph.catalog();
+  uint64_t rows = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (PropertyId prop : {g.ctx.p_creation, g.data.schema.first_name}) {
+      ValueVector out(catalog.PropertyType(g.data.schema.person, prop));
+      g.graph.GatherProperties(g.friends.data(), g.friends.size(), nullptr,
+                               prop, snapshot, &out);
+      benchmark::DoNotOptimize(out.size());
+      rows += g.friends.size();
+    }
+  }
+  state.counters["ns_per_row"] = NsPer(start, rows);
+}
+BENCHMARK(BM_GatherAfterUpdates);
 
 }  // namespace
 }  // namespace ges

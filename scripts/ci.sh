@@ -17,9 +17,11 @@
 #      / executor labels: the resource governor's unwind paths (budget
 #      kills mid-allocation, watchdog shots, watermark sheds) must be leak-
 #      and overflow-clean, the golden-byte codec tests run here too, and so
-#      do the adjacency level's raw and varint slot reads, the f-Tree count
-#      DP's prefix arrays indexed by range bounds (ftree_*, fuzz_plan_test)
-#      and the grouped aggregator's lazily made per-group state
+#      do the adjacency level's raw and varint slot reads, the MVCC
+#      touched-bit arrays (mvcc_test carries the storage label), the
+#      f-Tree count DP's prefix arrays indexed by range bounds (ftree_*,
+#      fuzz_plan_test) and the grouped aggregator's lazily made per-group
+#      state
 #
 # The release flavor also compiles perfbench/ (it links service::Server and
 # reads its statistics), so a server-API change cannot break the end-to-end

@@ -95,6 +95,19 @@ bool IsLeaf(OpType t) {
          t == OpType::kProcedure;
 }
 
+// " keys=[a asc, b desc]", then " limit=n" when the op has one.
+void DescribeSort(const PlanOp& op, std::ostringstream& os) {
+  if (!op.sort_keys.empty()) {
+    os << " keys=[";
+    for (size_t i = 0; i < op.sort_keys.size(); ++i) {
+      os << (i > 0 ? ", " : "") << op.sort_keys[i].column
+         << (op.sort_keys[i].ascending ? " asc" : " desc");
+    }
+    os << "]";
+  }
+  if (op.limit != UINT64_MAX) os << " limit=" << op.limit;
+}
+
 std::string DescribeOp(const PlanOp& op) {
   std::ostringstream os;
   os << OpTypeName(op.type);
@@ -129,16 +142,9 @@ std::string DescribeOp(const PlanOp& op) {
       os << " " << op.predicate->ToString();
       break;
     case OpType::kOrderBy:
-    case OpType::kTopK: {
-      os << " keys=[";
-      for (size_t i = 0; i < op.sort_keys.size(); ++i) {
-        os << (i > 0 ? ", " : "") << op.sort_keys[i].column
-           << (op.sort_keys[i].ascending ? " asc" : " desc");
-      }
-      os << "]";
-      if (op.limit != UINT64_MAX) os << " limit=" << op.limit;
+    case OpType::kTopK:
+      DescribeSort(op, os);
       break;
-    }
     case OpType::kAggregate:
     case OpType::kAggProjectTop: {
       os << " group=[";
@@ -150,7 +156,15 @@ std::string DescribeOp(const PlanOp& op) {
         os << (i > 0 ? ", " : "") << op.aggs[i].output;
       }
       os << "]";
-      if (op.limit != UINT64_MAX) os << " limit=" << op.limit;
+      if (!op.computed.empty()) {
+        os << " computed=[";
+        for (size_t i = 0; i < op.computed.size(); ++i) {
+          os << (i > 0 ? ", " : "") << op.computed[i].name << " = "
+             << op.computed[i].expr->ToString();
+        }
+        os << "]";
+      }
+      DescribeSort(op, os);
       break;
     }
     case OpType::kLimit:

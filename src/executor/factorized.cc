@@ -753,40 +753,93 @@ FlatBlock StreamingAggregate(const FTree& tree,
 }
 
 // Fused TopK: de-factors through the enumerator while keeping only the
-// current top `limit` tuples (bounded memory; Figure 8 step (vi)).
+// current top `limit` tuples (bounded memory; Figure 8 step (vi)). A
+// tuple's sort keys are read from their typed columns and compared with the
+// kept rows in place; only a tuple that enters the top is materialized.
 FlatBlock StreamTopK(const FTree& tree, const std::vector<SortKey>& keys,
                      uint64_t limit) {
   Schema schema = TreeSchema(tree);
-  std::vector<int> idx;
-  std::vector<bool> asc;
-  for (const SortKey& k : keys) {
-    int i = schema.IndexOf(k.column);
-    assert(i >= 0);
-    idx.push_back(i);
-    asc.push_back(k.ascending);
-  }
-  auto cmp = [&](const std::vector<Value>& a, const std::vector<Value>& b) {
-    for (size_t k = 0; k < idx.size(); ++k) {
-      int c = a[idx[k]].Compare(b[idx[k]]);
-      if (c != 0) return asc[k] ? c < 0 : c > 0;
-    }
-    return false;
-  };
-
   TupleEnumerator e(tree);
   const std::vector<const FTreeNode*>& nodes = e.nodes();
   std::vector<TreeSlot> slots = TreeSlots(nodes);
 
-  std::vector<std::vector<Value>> top;  // kept sorted ascending by cmp
-  while (e.Next()) {
+  // One reader per key. Every kept Value of a key came from the key's own
+  // column, so comparing the physical value reproduces Value::Compare's
+  // same-type order; a bool or null column takes the boxed path.
+  enum class KeyKind { kInt, kLazyVertex, kDouble, kString, kBoxed };
+  struct KeyReader {
+    size_t col;  // in `schema` and in a kept row
+    size_t node_idx;
+    const FBlock* block;
+    size_t block_col;
+    const ValueVector* column;  // kInt, kDouble and kString only
+    KeyKind kind;
+    bool ascending;
+  };
+  std::vector<KeyReader> readers;
+  for (const SortKey& k : keys) {
+    int i = schema.IndexOf(k.column);
+    assert(i >= 0);
+    const TreeSlot& s = slots[i];
+    const FBlock& block = nodes[s.node_idx]->block;
+    const ValueType type = block.schema().columns()[s.col_idx].type;
+    KeyKind kind = KeyKind::kBoxed;
+    if (block.lazy() && s.col_idx == 0) {
+      kind = KeyKind::kLazyVertex;
+    } else if (type == ValueType::kDouble) {
+      kind = KeyKind::kDouble;
+    } else if (type == ValueType::kString) {
+      kind = KeyKind::kString;
+    } else if (IsIntegerPhysical(type) && type != ValueType::kBool) {
+      kind = KeyKind::kInt;  // GetValue normalizes bools, so they box
+    }
+    const bool typed = kind != KeyKind::kLazyVertex && kind != KeyKind::kBoxed;
+    readers.push_back(KeyReader{static_cast<size_t>(i), s.node_idx, &block,
+                                s.col_idx,
+                                typed ? &block.Column(s.col_idx) : nullptr,
+                                kind, k.ascending});
+  }
+  auto sign = [](auto a, auto b) { return a < b ? -1 : (b < a ? 1 : 0); };
+  // The current tuple's key `k` against a kept row's Value of that key.
+  auto compare_key = [&](const KeyReader& k, const Value& kept) {
+    const uint64_t r = e.RowAt(k.node_idx);
+    switch (k.kind) {
+      case KeyKind::kInt:
+        return sign(k.column->GetInt(r), kept.AsInt());
+      case KeyKind::kLazyVertex:
+        return sign(static_cast<int64_t>(k.block->VertexAt(r)),
+                    kept.AsInt());
+      case KeyKind::kDouble:
+        return sign(k.column->GetDouble(r), kept.AsDouble());
+      case KeyKind::kString:
+        return sign(k.column->GetString(r).compare(kept.AsString()), 0);
+      case KeyKind::kBoxed:
+        break;
+    }
+    return k.block->GetValue(r, k.block_col).Compare(kept);
+  };
+  // True if the current tuple sorts strictly before `kept`; ties keep
+  // enumeration order, as SortAndLimit's stable sort does.
+  auto before = [&](const std::vector<Value>& kept) {
+    for (const KeyReader& k : readers) {
+      int c = compare_key(k, kept[k.col]);
+      if (c != 0) return k.ascending ? c < 0 : c > 0;
+    }
+    return false;
+  };
+
+  std::vector<std::vector<Value>> top;  // sorted; at most `limit` rows
+  while (limit > 0 && e.Next()) {
+    if (top.size() >= limit && !before(top.back())) continue;
     std::vector<Value> row;
     row.reserve(slots.size());
     for (const TreeSlot& s : slots) {
       row.push_back(nodes[s.node_idx]->block.GetValue(e.RowAt(s.node_idx),
                                                       s.col_idx));
     }
-    if (top.size() >= limit && !cmp(row, top.back())) continue;
-    auto pos = std::upper_bound(top.begin(), top.end(), row, cmp);
+    auto pos = std::partition_point(
+        top.begin(), top.end(),
+        [&](const std::vector<Value>& kept) { return !before(kept); });
     top.insert(pos, std::move(row));
     if (top.size() > limit) top.pop_back();
   }

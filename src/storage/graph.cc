@@ -103,24 +103,26 @@ void Graph::FinalizeBulk() {
   bulk_vertex_count_ = next_vertex_id_.load(std::memory_order_relaxed);
   for (TableEntry& t : tables_) {
     const LabelId src = t.table->key().src_label;
-    t.table->Finalize(src < bulk_by_label_.size() ? bulk_by_label_[src].size()
-                                                  : 0);
+    const size_t sources =
+        src < bulk_by_label_.size() ? bulk_by_label_[src].size() : 0;
+    t.table->Finalize(sources);
+    t.touched.Reset(sources);
   }
+  prop_touched_.Reset(bulk_vertex_count_);
   finalized_ = true;
 }
 
 Value Graph::GetProperty(VertexId v, PropertyId prop, Version snapshot) const {
-  if (!prop_overlay_.empty()) {
+  const bool bulk = v < bulk_vertex_count_;
+  if (bulk ? prop_touched_.Test(v) : !prop_overlay_.empty()) {
     Value out;
     if (prop_overlay_.Find(v, prop, snapshot, &out)) return out;
   }
-  if (v < bulk_vertex_count_) {
-    const BulkSlot at = slot_of_[v];
-    int slot = catalog_.PropertySlot(at.label, prop);
-    if (slot < 0) return Value::Null();
-    return property_tables_[at.label]->Get(at.offset, slot);
-  }
-  return Value::Null();
+  if (!bulk) return Value::Null();
+  const BulkSlot at = slot_of_[v];
+  int slot = catalog_.PropertySlot(at.label, prop);
+  if (slot < 0) return Value::Null();
+  return property_tables_[at.label]->Get(at.offset, slot);
 }
 
 const ValueVector* Graph::BasePropertyColumn(LabelId label,
@@ -144,9 +146,9 @@ void Graph::GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
     out->InitDict(&string_dict_);
   }
   out->Reserve(out->size() + n);
-  // Overlay presence is resolved once per batch: when no transaction has
-  // written any property overlay, the loop below is a pure column copy.
-  const bool check_overlay = !prop_overlay_.empty();
+  // A bulk vertex probes the overlay only when its touched bit is set; a
+  // post-bulk vertex when the overlay holds anything, resolved per batch.
+  const bool post_bulk_overlay = !prop_overlay_.empty();
   // Per-label (column, resolved?) cache so the catalog slot lookup happens
   // once per label instead of once per row.
   std::vector<const ValueVector*> col_cache;
@@ -157,7 +159,8 @@ void Graph::GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
       continue;
     }
     VertexId v = ids[i];
-    if (check_overlay) {
+    const bool bulk = v < bulk_vertex_count_;
+    if (bulk ? prop_touched_.Test(v) : post_bulk_overlay) {
       Value ov;
       if (prop_overlay_.Find(v, prop, snapshot, &ov)) {
         // Overlay strings were never interned; AppendValue decays the
@@ -166,7 +169,7 @@ void Graph::GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
         continue;
       }
     }
-    if (v >= bulk_vertex_count_) {
+    if (!bulk) {
       // New (post-bulk) vertices keep all properties in the overlay; a miss
       // there means null, same as GetProperty.
       out->AppendZero();
@@ -265,8 +268,10 @@ size_t Graph::OverlayBytes() const {
 }
 
 size_t Graph::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const TableEntry& t : tables_) bytes += t.table->MemoryBytes();
+  size_t bytes = prop_touched_.MemoryBytes();
+  for (const TableEntry& t : tables_) {
+    bytes += t.table->MemoryBytes() + t.touched.MemoryBytes();
+  }
   for (const auto& pt : property_tables_) {
     if (pt != nullptr) bytes += pt->MemoryBytes();
   }
@@ -390,11 +395,17 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
       std::lock_guard<std::mutex> commit_lock(
           version_manager_.commit_mutex());
       batch.install_version = CurrentVersion();
-      // Install before collapsing the chains the level absorbs: a
-      // lock-free reader that then misses an entry is ordered after this
-      // store and finds the new level.
+      // Install before collapsing the chains the level absorbs and
+      // clearing the bits of the vertices left without one: a lock-free
+      // reader that then misses an entry or sees a clear bit is ordered
+      // after this store and finds the new level.
       batch.level = t.table->Install(std::move(level));
-      PruneStats collapsed = t.overlay->CollapseBelow(cut, &batch.chains);
+      std::vector<VertexId> emptied;
+      PruneStats collapsed =
+          t.overlay->CollapseBelow(cut, &batch.chains, &emptied);
+      for (VertexId v : emptied) {
+        if (CoveredBy(t, v)) t.touched.Clear(slot_of_[v].offset);
+      }
       batch.bytes = batch.level->MemoryBytes() + collapsed.bytes;
       stats.entries_collapsed += collapsed.entries;
     }
@@ -660,7 +671,8 @@ Status WriteTxn::Commit(Version* commit_version) {
         ++j;
       }
       const EdgeOp& first = edge_ops_[i];
-      const bool has_stamp = graph_->tables_[first.rel].table->has_stamp();
+      Graph::TableEntry& table = graph_->tables_[first.rel];
+      const bool has_stamp = table.table->has_stamp();
       auto ver = std::make_shared<AdjOverlayEntry>();
       ver->version = version;
       // Seed with the newest existing list: under the commit mutex every
@@ -695,8 +707,12 @@ Status WriteTxn::Commit(Version* commit_version) {
           }
         }
       }
-      graph_->tables_[first.rel].overlay->Publish(first.vertex,
-                                                   std::move(ver));
+      // The touched bit goes up before the entry is published; the version
+      // advance below orders both before any reader that can see them.
+      if (graph_->CoveredBy(table, first.vertex)) {
+        table.touched.Set(graph_->slot_of_[first.vertex].offset);
+      }
+      table.overlay->Publish(first.vertex, std::move(ver));
       i = j;
     }
 
@@ -714,6 +730,9 @@ Status WriteTxn::Commit(Version* commit_version) {
       while (j < prop_ops_.size() && prop_ops_[j].first == prop_ops_[i].first) {
         ver->writes.push_back(prop_ops_[j].second);
         ++j;
+      }
+      if (prop_ops_[i].first < graph_->bulk_vertex_count_) {
+        graph_->prop_touched_.Set(prop_ops_[i].first);
       }
       graph_->prop_overlay_.Publish(prop_ops_[i].first, std::move(ver));
       i = j;

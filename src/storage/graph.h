@@ -383,18 +383,20 @@ class Graph {
     return r.level != nullptr ? r.level->DegreeAt(r.slot) : 0;
   }
 
+  // `prop` of `v` at `snapshot`. A bulk vertex no commit has written reads
+  // its base column without touching the property overlay.
   Value GetProperty(VertexId v, PropertyId prop, Version snapshot) const;
-  // Fast path for bulk vertices when no overlay exists; used by vectorized
-  // property projection. Returns nullptr if the column does not exist.
+  // The base column of `prop` for bulk vertices of `label`, or nullptr if
+  // the label has no such column.
   const ValueVector* BasePropertyColumn(LabelId label, PropertyId prop) const;
 
   // Batched property gather: appends `prop` of ids[0..n) to `out` (which
   // must already have the property's type). `sel`, when non-null, is a byte
   // mask; deselected rows append the zero placeholder (0 / 0.0 / "") so
-  // `out` stays positionally aligned with `ids`. MVCC overlay presence is
-  // resolved once per batch and the per-label column/slot lookup is cached,
-  // so the common (no-overlay) case is a typed column copy per row — no
-  // boxed Values. Dict-encoded string columns copy uint32 codes.
+  // `out` stays positionally aligned with `ids`. A bulk vertex no commit
+  // has written is a typed column copy — no lock, no hash probe, no boxed
+  // Value — with the per-label column lookup cached. Dict-encoded string
+  // columns copy uint32 codes.
   void GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
                         PropertyId prop, Version snapshot,
                         ValueVector* out) const;
@@ -444,20 +446,32 @@ class Graph {
   struct TableEntry {
     std::unique_ptr<AdjacencyTable> table;
     std::unique_ptr<AdjOverlay> overlay;
+    // One bit per bulk vertex of the source label, at its label offset.
+    TouchedBits touched;
   };
+
+  // True if `v` is a bulk vertex of `t`'s source label: one that `t`'s
+  // touched bits cover and whose level slot is its label offset.
+  bool CoveredBy(const TableEntry& t, VertexId v) const {
+    return v < bulk_vertex_count_ &&
+           slot_of_[v].label == t.table->key().src_label;
+  }
 
   // Where `v`'s list in `t` lives at `snapshot` — the one statement of the
   // resolution order, which Neighbors and Degree share (and through
-  // Neighbors the commit seed and the compaction merge): the overlay
-  // entry, else `v`'s slot in the level. The level indexes only its source
-  // label: a bulk vertex sits at its label offset, a post-bulk vertex in the
-  // tail, and anything else — a vertex of another label passed by a
-  // multi-relation Expand, or a post-bulk one with no list in the level —
-  // gets kNoSlot, which reads empty. One acquire load of the level, after
-  // the overlay probe: a compaction installs its level before collapsing
-  // the chains it absorbs, so a reader that misses a collapsed entry finds
-  // the new level. slot_of_ is frozen by FinalizeBulk, so this is
-  // lock-free.
+  // Neighbors the commit seed and the compaction merge): touched bit, then
+  // overlay entry, then `v`'s slot in the level. A covered vertex probes
+  // the overlay only when its bit is set, so an untouched one costs one
+  // word load and no lock; any other vertex probes when the overlay is not
+  // empty. The level indexes only its source label: a bulk vertex sits at
+  // its label offset, a post-bulk vertex in the tail, and anything else — a
+  // vertex of another label passed by a multi-relation Expand, or a
+  // post-bulk one with no list in the level — gets kNoSlot, which reads
+  // empty. One acquire load of the level, after the bit and the overlay
+  // probe: a compaction installs its level before it collapses the chains
+  // the level absorbs and clears their bits, so a reader that misses a
+  // collapsed entry, or sees a cleared bit, finds the new level. slot_of_
+  // is frozen by FinalizeBulk, so this is lock-free up to the probe.
   struct ListRef {
     const AdjOverlayEntry* entry = nullptr;
     const AdjacencyTable::Csr* level = nullptr;
@@ -465,16 +479,17 @@ class Graph {
   };
   ListRef Resolve(const TableEntry& t, VertexId v, Version snapshot) const {
     ListRef r;
-    if (!t.overlay->empty()) {
+    const bool covered = CoveredBy(t, v);
+    if (covered ? t.touched.Test(slot_of_[v].offset) : !t.overlay->empty()) {
       r.entry = t.overlay->Find(v, snapshot);
       if (r.entry != nullptr) return r;
     }
     r.level = t.table->csr();
     if (r.level == nullptr) return r;
-    if (v >= bulk_vertex_count_) {
-      r.slot = r.level->TailSlot(v);
-    } else if (slot_of_[v].label == t.table->key().src_label) {
+    if (covered) {
       r.slot = slot_of_[v].offset;
+    } else if (v >= bulk_vertex_count_) {
+      r.slot = r.level->TailSlot(v);
     }
     return r;
   }
@@ -520,6 +535,9 @@ class Graph {
   // MVCC state.
   VersionManager version_manager_;
   PropOverlay prop_overlay_;
+  // One bit per bulk vertex (by id): set before its first property write
+  // publishes. Post-bulk vertices keep the prop_overlay_.empty() check.
+  TouchedBits prop_touched_;
   NewVertexRegistry new_vertices_;
 
   // Durability state (null / empty for purely in-memory graphs).

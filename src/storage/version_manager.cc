@@ -176,7 +176,8 @@ void UnlinkDetachedChain(std::shared_ptr<AdjOverlayEntry> head) {
 }
 
 PruneStats AdjOverlay::CollapseBelow(
-    Version cut, std::vector<std::shared_ptr<AdjOverlayEntry>>* retired) {
+    Version cut, std::vector<std::shared_ptr<AdjOverlayEntry>>* retired,
+    std::vector<VertexId>* emptied) {
   PruneStats stats;
   if (empty()) return stats;
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -191,6 +192,7 @@ PruneStats AdjOverlay::CollapseBelow(
         stats.bytes += EntryBytes(*e);
       }
       stats.bytes += sizeof(void*) * 4;  // map-slot overhead from Publish
+      emptied->push_back(it->first);
       retired->push_back(std::move(it->second));
       it = heads_.erase(it);
       continue;

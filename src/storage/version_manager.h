@@ -134,13 +134,49 @@ struct AdjOverlayEntry {
 // (the compaction retire list) must free through this.
 void UnlinkDetachedChain(std::shared_ptr<AdjOverlayEntry> head);
 
+// One bit per bulk vertex, telling readers whether an overlay may hold an
+// entry for it (DESIGN.md §17). A committer sets the bit before it
+// publishes the vertex's entry, under the commit mutex; the commit's
+// version advance (a release) then orders the bit before every reader
+// whose snapshot includes the commit. So a reader that finds the bit clear
+// has no visible entry and reads base storage without the overlay's lock or
+// hash probe. Sized once when base storage freezes (FinalizeBulk), never
+// grown. Clear is for the compaction install only, after the level that
+// absorbs the vertex's whole chain is published.
+class TouchedBits {
+ public:
+  void Reset(size_t bits) {
+    num_words_ = (bits + 63) / 64;
+    words_ = std::make_unique<std::atomic<uint64_t>[]>(num_words_);
+  }
+  bool Test(size_t i) const {
+    return (words_[i >> 6].load(std::memory_order_acquire) >> (i & 63)) & 1;
+  }
+  void Set(size_t i) {
+    words_[i >> 6].fetch_or(uint64_t{1} << (i & 63),
+                            std::memory_order_relaxed);
+  }
+  // Release: a reader that sees the bit clear also sees the level
+  // installed before the clear.
+  void Clear(size_t i) {
+    words_[i >> 6].fetch_and(~(uint64_t{1} << (i & 63)),
+                             std::memory_order_release);
+  }
+  size_t MemoryBytes() const { return num_words_ * sizeof(uint64_t); }
+
+ private:
+  std::unique_ptr<std::atomic<uint64_t>[]> words_;
+  size_t num_words_ = 0;
+};
+
 // Per-relation overlay of versioned adjacency lists.
 class AdjOverlay {
  public:
   ~AdjOverlay();
 
-  // True if no vertex of this relation has ever been updated; lets the read
-  // path skip the map probe entirely for read-mostly workloads.
+  // True if no vertex of this relation has ever been updated. Vertices no
+  // TouchedBits cover (post-bulk ones, and vertices of another label)
+  // skip the map probe on it.
   bool empty() const { return count_.load(std::memory_order_acquire) == 0; }
 
   // Newest entry for `v` visible at `snapshot`, or nullptr (use the
@@ -165,9 +201,10 @@ class AdjOverlay {
   // overlay entries in (cut, snapshot] or fall through to the level.
   // Removed chains are appended to `retired` instead of freed: concurrent
   // readers may be mid-walk on them until the watermark passes the install
-  // version.
+  // version. The vertices whose whole chain went are appended to `emptied`.
   PruneStats CollapseBelow(
-      Version cut, std::vector<std::shared_ptr<AdjOverlayEntry>>* retired);
+      Version cut, std::vector<std::shared_ptr<AdjOverlayEntry>>* retired,
+      std::vector<VertexId>* emptied);
 
   // Live chain bytes (entries + their ids/stamps vectors + map slots).
   // O(1): maintained at Publish/Prune time.

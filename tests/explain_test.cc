@@ -52,6 +52,40 @@ TEST(ExplainTest, ShowsFusedOperators) {
   EXPECT_NE(text.find("TopK"), std::string::npos);
 }
 
+// A fused top-k aggregate shows what it orders by: IC5's AggProjectTop
+// prints its sort keys and limit after the group keys and aggregates.
+TEST(ExplainTest, AggProjectTopShowsSortKeys) {
+  testutil::SnbFixture& fx = testutil::SnbFixture::Shared();
+  LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
+  ParamGen gen(&fx.graph, &fx.data, 1);
+  std::string text =
+      ExplainPlan(OptimizePlan(BuildIC(5, ctx, gen.Next()), ExecOptions{}));
+  EXPECT_NE(text.find("AggProjectTop group=[forum_id] aggs=[cnt] "
+                      "keys=[cnt desc, forum_id asc] limit=20"),
+            std::string::npos)
+      << text;
+}
+
+// Computed columns of a fused aggregate print as `name = expression`.
+TEST(ExplainTest, AggProjectTopShowsComputedColumns) {
+  TinyGraph tiny;
+  PlanBuilder b("t");
+  b.ScanByLabel("m", tiny.message)
+      .GetProperty("m", tiny.len, ValueType::kInt64, "len")
+      .Aggregate({}, {AggSpec{AggSpec::kSum, "len", "total"}})
+      .Project({{"total", "total"}},
+               {ComputedColumn{Expr::Add(Expr::Col("total"),
+                                         Expr::Lit(Value::Int(1))),
+                               "plus_one", ValueType::kInt64}})
+      .OrderBy({{"plus_one", false}}, 3)
+      .Output({"plus_one"});
+  std::string text = ExplainPlan(OptimizePlan(b.Build(), ExecOptions{}));
+  EXPECT_NE(text.find("AggProjectTop"), std::string::npos) << text;
+  EXPECT_NE(text.find("computed=[plus_one = "), std::string::npos) << text;
+  EXPECT_NE(text.find("keys=[plus_one desc] limit=3"), std::string::npos)
+      << text;
+}
+
 TEST(ValidateTest, AcceptsWellFormedPlan) {
   TinyGraph tiny;
   Status s = ValidatePlan(SimplePlan(tiny));

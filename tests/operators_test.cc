@@ -410,6 +410,100 @@ TEST(SortAndLimitTest, LimitKeepsStableOrderAmongTies) {
   }
 }
 
+// The fused TopK reads each tuple's sort keys from their typed columns and
+// builds a row only when it enters the top. SortAndLimit over the same
+// tuples in the same enumeration order is the oracle: the GES_f engine runs
+// an OrderBy as exactly that, and the same plan with the OrderBy turned
+// into a TopK must return the same rows in the same order — for ties,
+// mixed directions, int, date, double, bool (the boxed fallback), vertex
+// and string keys (dictionary codes, then owned strings once an overlay
+// write is gathered), and limits 0, 1, a few, all rows and more.
+TEST(StreamTopKTest, MatchesSortAndLimitOracle) {
+  Graph g;
+  Catalog& c = g.catalog();
+  const LabelId person = c.AddVertexLabel("PERSON");
+  const LabelId knows = c.AddEdgeLabel("KNOWS");
+  const PropertyId name = c.AddProperty(person, "name", ValueType::kString);
+  const PropertyId score = c.AddProperty(person, "score", ValueType::kInt64);
+  const PropertyId weight =
+      c.AddProperty(person, "weight", ValueType::kDouble);
+  const PropertyId flag = c.AddProperty(person, "flag", ValueType::kBool);
+  const PropertyId born = c.AddProperty(person, "born", ValueType::kDate);
+  g.RegisterRelation(person, knows, person, /*has_stamp=*/true);
+  static const char* kNames[] = {"ann", "bob", "", "cy", "bob"};
+  Rng rng(5);
+  std::vector<VertexId> persons;
+  for (int i = 0; i < 24; ++i) {
+    VertexId v = g.AddVertexBulk(person, i);
+    g.SetPropertyBulk(v, name, Value::String(kNames[rng.Uniform(5)]));
+    g.SetPropertyBulk(v, score, Value::Int(rng.UniformRange(-2, 1)));
+    g.SetPropertyBulk(v, weight,
+                      Value::Double(0.5 * rng.UniformRange(-1, 1)));
+    g.SetPropertyBulk(v, flag, Value::Bool(rng.Uniform(2) == 1));
+    g.SetPropertyBulk(v, born, Value::Date(rng.UniformRange(0, 2)));
+    persons.push_back(v);
+  }
+  for (int i = 0; i < 24; ++i) {
+    for (int k = 0; k <= i % 4; ++k) {
+      g.AddEdgeBulk(knows, persons[i], persons[rng.Uniform(24)],
+                    rng.UniformRange(0, 2));
+    }
+  }
+  g.FinalizeBulk();
+  const RelationId rel =
+      g.FindRelation(person, knows, person, Direction::kOut);
+
+  auto plan = [&](std::vector<SortKey> keys, uint64_t limit) {
+    PlanBuilder b("topk");
+    b.ScanByLabel("p", person)
+        .ExpandEx("p", "f", {rel}, 1, 1, false, false, "", "since")
+        .GetProperty("f", name, ValueType::kString, "f_name")
+        .GetProperty("f", score, ValueType::kInt64, "f_score")
+        .GetProperty("f", weight, ValueType::kDouble, "f_weight")
+        .GetProperty("f", flag, ValueType::kBool, "f_flag")
+        .GetProperty("p", born, ValueType::kDate, "p_born")
+        .GetProperty("p", score, ValueType::kInt64, "p_score")
+        .OrderBy(std::move(keys), limit)
+        .Output({"p", "f", "since", "f_name", "f_score", "f_weight",
+                 "f_flag", "p_born", "p_score"});
+    return b.Build();
+  };
+  const std::vector<std::vector<SortKey>> key_sets = {
+      {{"f_score", true}},
+      {{"f_name", true}, {"p_score", false}},
+      {{"f_weight", false}, {"p_born", true}},
+      {{"f_flag", true}, {"f_name", false}},
+      {{"f", false}, {"since", true}},
+      {{"p", true}, {"f_score", false}, {"f_name", false}},
+  };
+  const Executor exec(ExecMode::kFactorized);
+  auto check_all = [&](const char* when) {
+    SCOPED_TRACE(when);
+    GraphView view(&g);
+    const uint64_t rows =
+        exec.Run(plan({{"f_score", true}}, UINT64_MAX), view).table.NumRows();
+    ASSERT_GT(rows, 40u);
+    for (const std::vector<SortKey>& keys : key_sets) {
+      for (uint64_t limit : {uint64_t{0}, uint64_t{1}, uint64_t{7}, rows,
+                             rows + 5}) {
+        Plan sorted = plan(keys, limit);
+        Plan topk = sorted;
+        topk.ops.back().type = OpType::kTopK;
+        const std::vector<std::string> want =
+            OrderedRows(exec.Run(sorted, view).table);
+        EXPECT_EQ(want.size(), std::min(limit, rows));
+        EXPECT_EQ(OrderedRows(exec.Run(topk, view).table), want)
+            << "keys[0]=" << keys[0].column << " limit=" << limit;
+      }
+    }
+  };
+  check_all("dictionary strings");
+  auto txn = g.BeginWrite({persons[3]});
+  txn->SetProperty(persons[3], name, Value::String("not in the dictionary"));
+  ASSERT_GT(txn->Commit(), 0u);
+  check_all("owned strings");
+}
+
 // Enough groups to grow the group index several times, with every
 // aggregate kind, against a map oracle; groups come out in first-encounter
 // order.
