@@ -1,8 +1,9 @@
 // Microbenchmarks of the core factorized data structures (google-benchmark):
 // f-Tree enumeration, tuple-count DP (whole tree and per node of an
-// IC5-shaped tree), flat-vs-lazy expand, selection filtering, and the
-// storage read layer on a graph that has taken updates. These quantify the
-// constant factors behind the macro results.
+// IC5-shaped tree), flat-vs-lazy expand, selection filtering, the
+// storage read layer on a graph that has taken updates, and IC5's
+// typed-key grouping. These quantify the constant factors behind the macro
+// results.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -10,6 +11,7 @@
 
 #include "datagen/snb_generator.h"
 #include "executor/executor.h"
+#include "executor/executor_internal.h"
 #include "executor/ftree.h"
 #include "harness/workload.h"
 #include "queries/ldbc.h"
@@ -112,6 +114,7 @@ void BM_Flatten(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Flatten)->Arg(32)->Arg(128)->Arg(512);
+
 
 struct MicroGraph {
   Graph graph;
@@ -265,6 +268,38 @@ void BM_GatherAfterUpdates(benchmark::State& state) {
   state.counters["ns_per_row"] = NsPer(start, rows);
 }
 BENCHMARK(BM_GatherAfterUpdates);
+
+// IC5's grouping: 33k forum rows of an int64 id column, into about 2.4k
+// groups, each row weighed by its tuple count, as the direct factorized
+// aggregation feeds them. Tracks the per-row cost of the typed-key index.
+void BM_GroupedAggregate(benchmark::State& state) {
+  constexpr size_t kRows = 33000;
+  FBlock block;
+  ValueVector ids(ValueType::kInt64);
+  uint64_t x = 88172645463325252ULL;
+  for (size_t i = 0; i < kRows; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    ids.AppendInt(static_cast<int64_t>(x % 2400) * 1099511628211LL);
+  }
+  block.AddColumn("forum_id", std::move(ids));
+  uint64_t rows = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    internal::GroupedAggregator agg(block.schema(), {"forum_id"},
+                                    {AggSpec{AggSpec::kCount, "", "cnt"}});
+    for (size_t r = 0; r < kRows; ++r) {
+      agg.AddTypedRow([&](int c) { return block.WordAt(r, c); },
+                      [&](int c) { return block.GetValue(r, c); },
+                      static_cast<int64_t>(1 + r % 13));
+    }
+    benchmark::DoNotOptimize(agg.Finish().NumRows());
+    rows += kRows;
+  }
+  state.counters["ns_per_row"] = NsPer(start, rows);
+}
+BENCHMARK(BM_GroupedAggregate);
 
 }  // namespace
 }  // namespace ges

@@ -20,8 +20,12 @@
 #      do the adjacency level's raw and varint slot reads, the MVCC
 #      touched-bit arrays (mvcc_test carries the storage label), the
 #      f-Tree count DP's prefix arrays indexed by range bounds (ftree_*,
-#      fuzz_plan_test) and the grouped aggregator's lazily made per-group
-#      state
+#      fuzz_plan_test), the grouped aggregator's lazily made per-group
+#      state and its open-addressing typed-key index (operators_test,
+#      fuzz_plan_test), and a counted Expand's columnless f-Tree child
+#      (explain_test, fuzz_plan_test's and determinism_test's updated-
+#      graph suites); determinism_test and mvcc_test carry the executor
+#      label as well, so UBSan and ASan run them
 #
 # The release flavor also compiles perfbench/ (it links service::Server and
 # reads its statistics), so a server-API change cannot break the end-to-end

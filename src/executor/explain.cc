@@ -47,49 +47,6 @@ std::vector<std::string> ProducedColumns(const PlanOp& op) {
   return out;
 }
 
-// Columns an operator consumes.
-std::vector<std::string> ConsumedColumns(const PlanOp& op) {
-  std::vector<std::string> out;
-  switch (op.type) {
-    case OpType::kExpand:
-    case OpType::kExpandFiltered:
-    case OpType::kGetProperty:
-      out.push_back(op.in_column);
-      break;
-    case OpType::kExpandInto:
-      out.push_back(op.in_column);
-      out.push_back(op.other_column);
-      break;
-    case OpType::kIntersectExpand:
-      out.push_back(op.in_column);
-      for (const std::string& p : op.probe_columns) out.push_back(p);
-      break;
-    case OpType::kFilter:
-      op.predicate->CollectColumns(&out);
-      break;
-    case OpType::kProject:
-      for (const auto& [col, as] : op.selections) out.push_back(col);
-      for (const ComputedColumn& c : op.computed) {
-        c.expr->CollectColumns(&out);
-      }
-      break;
-    case OpType::kOrderBy:
-    case OpType::kTopK:
-      for (const SortKey& k : op.sort_keys) out.push_back(k.column);
-      break;
-    case OpType::kAggregate:
-    case OpType::kAggProjectTop:
-      for (const std::string& g : op.group_by) out.push_back(g);
-      for (const AggSpec& a : op.aggs) {
-        if (!a.input.empty()) out.push_back(a.input);
-      }
-      break;
-    default:
-      break;
-  }
-  return out;
-}
-
 bool IsLeaf(OpType t) {
   return t == OpType::kNodeByIdSeek || t == OpType::kScanByLabel ||
          t == OpType::kProcedure;
@@ -129,6 +86,7 @@ std::string DescribeOp(const PlanOp& op) {
         os << " (*" << op.min_hops << ".." << op.max_hops << ")";
       }
       if (op.distinct) os << " distinct";
+      if (op.counted) os << " counted";
       if (op.type == OpType::kExpandFiltered) {
         os << " fused-filter(" << op.other_column << ")";
       }

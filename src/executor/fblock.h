@@ -38,7 +38,7 @@ class FBlock {
   // Number of logical rows (the shared cardinality N of all columns).
   size_t NumRows() const {
     if (lazy_) return seg_offsets_.empty() ? 0 : seg_offsets_.back();
-    return columns_.empty() ? 0 : columns_[0].size();
+    return columns_.empty() ? columnless_rows_ : columns_[0].size();
   }
 
   bool lazy() const { return lazy_; }
@@ -50,6 +50,11 @@ class FBlock {
     schema_.Add(name, column.type());
     columns_.push_back(std::move(column));
   }
+
+  // --- construction: columnless block ---
+  // A block of `rows` rows and no column: the child of a counted Expand
+  // (PlanOp::counted), which carries only its parent rows' multiplicity.
+  void InitColumnless(uint64_t rows) { columnless_rows_ = rows; }
 
   // --- construction: lazy vertex column ---
   // Initializes this block as a lazy single-column block named `name`.
@@ -94,6 +99,12 @@ class FBlock {
     size_t seg = SegmentIndexOf(row);
     const AdjSpan& s = segments_[seg];
     return s.stamps == nullptr ? 0 : s.stamps[row - seg_offsets_[seg]];
+  }
+
+  // Raw 64-bit word of an int64, vertex or date column, without a Value.
+  int64_t WordAt(uint64_t row, size_t col) const {
+    if (lazy_ && col == 0) return static_cast<int64_t>(VertexAt(row));
+    return columns_[ColumnStorageIndex(col)].GetInt(row);
   }
 
   Value GetValue(uint64_t row, size_t col) const {
@@ -142,6 +153,8 @@ class FBlock {
 
   Schema schema_;
   std::vector<ValueVector> columns_;
+
+  uint64_t columnless_rows_ = 0;
 
   bool lazy_ = false;
   std::vector<AdjSpan> segments_;

@@ -179,6 +179,31 @@ void ReorderFilterRuns(
   }
 }
 
+// Marks each 1-hop Expand whose neighbors are only ever counted: no later
+// op and no plan output reads its out or stamp column (an empty output
+// reads every column, and so does a Distinct). Such an Expand contributes
+// nothing but each source row's multiplicity.
+void MarkCountedExpands(Plan* plan) {
+  if (plan->output.empty()) return;
+  std::vector<std::string> read_later = plan->output;
+  bool distinct_later = false;
+  for (size_t i = plan->ops.size(); i-- > 0;) {
+    PlanOp& op = plan->ops[i];
+    auto read = [&op](const std::string& c) {
+      return c == op.out_column ||
+             (!op.stamp_column.empty() && c == op.stamp_column);
+    };
+    op.counted = op.type == OpType::kExpand && op.min_hops == 1 &&
+                 op.max_hops == 1 && !op.distinct && !op.exclude_start &&
+                 op.distance_column.empty() && !distinct_later &&
+                 std::none_of(read_later.begin(), read_later.end(), read);
+    distinct_later |= op.type == OpType::kDistinct;
+    for (std::string& c : ConsumedColumns(op)) {
+      read_later.push_back(std::move(c));
+    }
+  }
+}
+
 }  // namespace
 
 Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
@@ -337,6 +362,7 @@ Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
     out.ops.push_back(ops[i]);
     ++i;
   }
+  MarkCountedExpands(&out);
   if (view != nullptr) {
     auto column_stats = CollectPlanColumnStats(out, view->graph());
     ReorderFilterRuns(&out.ops, column_stats);

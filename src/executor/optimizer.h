@@ -27,6 +27,9 @@ namespace ges {
 //    is provided, the rewrite is gated by a cost model over the per-label
 //    average degrees from the adjacency metadata; without a view it is
 //    applied rule-based (the intersection is never asymptotically worse).
+//  * Counted Expand — a 1-hop Expand whose out and stamp columns nothing
+//    after it reads (not even the plan output) is marked PlanOp::counted:
+//    the factorized engine stores only each source row's degree.
 //
 // Rewrites preserve result semantics; the equivalence tests run every
 // query through fused and unfused plans. The returned plan has

@@ -89,6 +89,11 @@ struct PlanOp {
   bool exclude_start = false;  // drop the source vertex itself
   std::string distance_column;  // optional hop-distance output
   std::string stamp_column;     // optional edge-stamp output
+  // Set by OptimizePlan on a 1-hop kExpand whose out and stamp columns no
+  // later op and no plan output reads: the factorized engine then keeps
+  // only each source row's degree (a columnless child of that many rows).
+  // The other engines ignore it.
+  bool counted = false;
 
   // kGetProperty (+ fused property inside kExpandFiltered).
   PropertyId property = kInvalidProperty;
@@ -125,6 +130,10 @@ struct PlanOp {
   // kProcedure.
   std::function<FlatBlock(const GraphView&)> procedure;
 };
+
+// Columns `op` reads from its input. A kDistinct reads every live column
+// and lists none here.
+std::vector<std::string> ConsumedColumns(const PlanOp& op);
 
 struct Plan {
   std::vector<PlanOp> ops;

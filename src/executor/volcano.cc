@@ -168,7 +168,7 @@ class VolExpandInto : public VolOp {
   bool Next(Row* row) override {
     while (child_->Next(row)) {
       bool has = view_.HasEdge(op_.rels, (*row)[a_].AsVertex(),
-                               (*row)[b_].AsVertex(), istats_);
+                               (*row)[b_].AsVertex(), istats_, &adj_);
       if (has != op_.anti) return true;
     }
     return false;
@@ -181,6 +181,7 @@ class VolExpandInto : public VolOp {
   IntersectOpStats* istats_;
   int a_;
   int b_;
+  AdjScratch adj_;  // decode scratch for compacted relations
 };
 
 // Tuple-at-a-time multiway intersection: per input row, materialize the

@@ -250,10 +250,12 @@ void Server::AcceptLoop() {
 
     if (ActiveSessions() >= static_cast<size_t>(config_.max_connections)) {
       // Bounded connection count: refuse with an explicit error frame
-      // instead of letting connections pile up half-served.
+      // instead of letting connections pile up half-served. Counted before
+      // the frame goes out, so a client that has read its refusal also
+      // sees it in the stats.
+      stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
       WriteFrame(fd, EncodeError(WireStatus::kResourceExhausted,
                                  "connection limit reached"));
-      stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
       // Lingering close: drain the client's (already in-flight) Hello
       // before closing, otherwise the close races the client's write and
       // the resulting RST wipes the refusal frame from its receive queue.

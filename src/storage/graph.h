@@ -462,11 +462,14 @@ class Graph {
   // Neighbors the commit seed and the compaction merge): touched bit, then
   // overlay entry, then `v`'s slot in the level. A covered vertex probes
   // the overlay only when its bit is set, so an untouched one costs one
-  // word load and no lock; any other vertex probes when the overlay is not
-  // empty. The level indexes only its source label: a bulk vertex sits at
-  // its label offset, a post-bulk vertex in the tail, and anything else — a
-  // vertex of another label passed by a multi-relation Expand, or a
-  // post-bulk one with no list in the level — gets kNoSlot, which reads
+  // word load and no lock. A bulk vertex of another label — one a
+  // multi-relation Expand passes to every relation — reads empty at once:
+  // WriteTxn::AddEdge/RemoveEdge pick the relation from each endpoint's own
+  // label (WAL replay and the replica apply path go through them too), so
+  // no commit ever gives it an entry here. A post-bulk vertex probes when
+  // the overlay is not empty. The level indexes only its source label: a
+  // bulk vertex sits at its label offset, a post-bulk vertex in the tail,
+  // and a post-bulk one with no list in the level gets kNoSlot, which reads
   // empty. One acquire load of the level, after the bit and the overlay
   // probe: a compaction installs its level before it collapses the chains
   // the level absorbs and clears their bits, so a reader that misses a
@@ -479,18 +482,15 @@ class Graph {
   };
   ListRef Resolve(const TableEntry& t, VertexId v, Version snapshot) const {
     ListRef r;
-    const bool covered = CoveredBy(t, v);
-    if (covered ? t.touched.Test(slot_of_[v].offset) : !t.overlay->empty()) {
+    const bool bulk = v < bulk_vertex_count_;
+    if (bulk && slot_of_[v].label != t.table->key().src_label) return r;
+    if (bulk ? t.touched.Test(slot_of_[v].offset) : !t.overlay->empty()) {
       r.entry = t.overlay->Find(v, snapshot);
       if (r.entry != nullptr) return r;
     }
     r.level = t.table->csr();
     if (r.level == nullptr) return r;
-    if (covered) {
-      r.slot = slot_of_[v].offset;
-    } else if (v >= bulk_vertex_count_) {
-      r.slot = r.level->TailSlot(v);
-    }
+    r.slot = bulk ? slot_of_[v].offset : r.level->TailSlot(v);
     return r;
   }
 

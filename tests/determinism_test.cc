@@ -96,5 +96,30 @@ INSTANTIATE_TEST_SUITE_P(AllIS, IsDeterminismTest, ::testing::Range(1, 8),
                            return "IS" + std::to_string(info.param);
                          });
 
+// The same contract on updated storage (overlay entries, varint levels,
+// post-bulk vertices; see testutil::MutatedSnbFixture), where IC5's counted
+// Expand reads degrees through every layer.
+class MutatedIcDeterminismTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MutatedIcDeterminismTest, ParallelMatchesSequential) {
+  int k = GetParam();
+  SnbFixture& fx = testutil::MutatedSnbFixture();
+  ParamGen gen(&fx.graph, &fx.data, /*seed=*/9000 + k);
+  LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
+  GraphView view(&fx.graph);
+  for (int i = 0; i < 2; ++i) {
+    LdbcParams p = gen.Next();
+    Plan plan = BuildIC(k, ctx, p);
+    ExpectThreadCountInvariant(
+        plan, view, "IC" + std::to_string(k) + " params#" + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIC, MutatedIcDeterminismTest,
+                         ::testing::Range(1, 15),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "IC" + std::to_string(info.param);
+                         });
+
 }  // namespace
 }  // namespace ges

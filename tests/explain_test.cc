@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "executor/ftree.h"
 #include "executor/optimizer.h"
 #include "queries/ldbc.h"
 #include "tests/test_util.h"
@@ -64,6 +65,37 @@ TEST(ExplainTest, AggProjectTopShowsSortKeys) {
                       "keys=[cnt desc, forum_id asc] limit=20"),
             std::string::npos)
       << text;
+}
+
+// IC5 only counts the posts of each forum: the optimizer marks that Expand
+// counted, EXPLAIN shows it, and EXPLAIN ANALYZE charges it no more than
+// the one index range per forum row that it adds to the f-Tree.
+TEST(ExplainTest, CountedExpandShowsMarkAndAddsOnlyRanges) {
+  testutil::SnbFixture& fx = testutil::SnbFixture::Shared();
+  LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
+  ParamGen gen(&fx.graph, &fx.data, 1);
+  GraphView view(&fx.graph);
+  Plan plan = OptimizePlan(BuildIC(5, ctx, gen.Next()), ExecOptions{}, &view);
+  std::string text = ExplainPlan(plan);
+  EXPECT_NE(text.find("-> post counted"), std::string::npos) << text;
+  EXPECT_EQ(text.find("-> forum counted"), std::string::npos) << text;
+
+  QueryResult result = Executor(ExecMode::kFactorizedFused).Run(plan, view);
+  ASSERT_EQ(result.stats.ops.size(), plan.ops.size());
+  size_t posts = 0;
+  while (posts < plan.ops.size() && !plan.ops[posts].counted) ++posts;
+  ASSERT_LT(posts, plan.ops.size());
+  ASSERT_EQ(plan.ops[posts].in_column, "forum");
+  // The forum node holds one row per (friend, forum) tuple the expansion
+  // into it produced; the Filter in between only deselects rows.
+  size_t forum = 0;
+  while (plan.ops[forum].out_column != "forum") ++forum;
+  const uint64_t forum_rows = result.stats.ops[forum].rows;
+  ASSERT_GT(forum_rows, 0u);
+  const size_t before = result.stats.ops[posts - 1].intermediate_bytes;
+  const size_t after = result.stats.ops[posts].intermediate_bytes;
+  EXPECT_LE(after - before, forum_rows * sizeof(IndexRange))
+      << ExplainAnalyze(plan, result);
 }
 
 // Computed columns of a fused aggregate print as `name = expression`.

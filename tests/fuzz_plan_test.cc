@@ -35,6 +35,7 @@ class RandomPlanGenerator {
     PlanBuilder b("fuzz");
     vertex_cols_.clear();
     int_cols_.clear();
+    int_source_.clear();
     next_col_ = 0;
 
     // Leaf: scan a random label with interesting out-edges, or seek.
@@ -55,12 +56,21 @@ class RandomPlanGenerator {
     bool aggregated = false;
     int expands = 0;
     for (int i = 0; i < ops && !aggregated; ++i) {
-      switch (rng_.Uniform(6)) {
+      switch (rng_.Uniform(7)) {
         case 0:
         case 1:
           if (expands < 3) {
             AddExpand(&b);
             ++expands;
+          }
+          break;
+        case 6:
+          // An Expand then a Filter on its parent: the counted-Expand shape
+          // when nothing after it reads the new column.
+          if (expands < 3) {
+            std::string parent = AddExpand(&b);
+            ++expands;
+            if (!parent.empty()) AddFilter(&b, parent);
           }
           break;
         case 2:
@@ -70,7 +80,7 @@ class RandomPlanGenerator {
           AddFilter(&b);
           break;
         case 4:
-          if (!int_cols_.empty() && rng_.Bernoulli(0.5)) {
+          if (!int_cols_.empty() && rng_.Bernoulli(0.6)) {
             AddAggregate(&b);
             aggregated = true;
           } else {
@@ -89,7 +99,10 @@ class RandomPlanGenerator {
     }
     // Deterministic final order so row order is comparable, and an explicit
     // output column list (cross-engine column order is only defined for
-    // explicit outputs; see plan.h).
+    // explicit outputs; see plan.h). A vertex column past the first may be
+    // left out of both, so an Expand whose column nothing reads is counted;
+    // rows tied on every sort key are then identical in every output
+    // column, so the LIMIT keeps the same rows in every engine.
     if (!aggregated) {
       AddGetProperty(&b);
       std::vector<SortKey> keys;
@@ -98,14 +111,13 @@ class RandomPlanGenerator {
         keys.push_back({c, true});
         output.push_back(c);
       }
-      for (const VertexColumn& vc : vertex_cols_) {
-        keys.push_back({vc.name, true});
-        output.push_back(vc.name);
+      for (size_t i = 0; i < vertex_cols_.size(); ++i) {
+        if (i > 0 && rng_.Bernoulli(0.5)) continue;
+        keys.push_back({vertex_cols_[i].name, true});
+        output.push_back(vertex_cols_[i].name);
       }
       b.OrderBy(std::move(keys), 64);
       b.Output(std::move(output));
-    } else {
-      // Aggregate plans already project to {key, cnt}.
     }
     return b.Build();
   }
@@ -149,10 +161,13 @@ class RandomPlanGenerator {
     return out;
   }
 
-  void AddExpand(PlanBuilder* b) {
-    const VertexColumn& src = vertex_cols_[rng_.Uniform(vertex_cols_.size())];
+  // Expands a random vertex column; returns its name, or "" when its label
+  // has no relation on the menu.
+  std::string AddExpand(PlanBuilder* b) {
+    const VertexColumn src =
+        vertex_cols_[rng_.Uniform(vertex_cols_.size())];
     auto choices = RelationsFrom(src.label);
-    if (choices.empty()) return;
+    if (choices.empty()) return "";
     const RelChoice& c = choices[rng_.Uniform(choices.size())];
     std::string out = NewCol("v");
     bool multi = c.rel == ctx_.knows && rng_.Bernoulli(0.3);
@@ -167,6 +182,7 @@ class RandomPlanGenerator {
       int closes = 1 + (rng_.Bernoulli(0.25) ? 1 : 0);
       for (int k = 0; k < closes; ++k) AddClosingEdge(b, out, c.dst);
     }
+    return src.name;
   }
 
   void AddClosingEdge(PlanBuilder* b, const std::string& w, LabelId wl) {
@@ -199,19 +215,26 @@ class RandomPlanGenerator {
     }
   }
 
-  void AddGetProperty(PlanBuilder* b) {
-    // Every label has an int64 "id" property.
-    const VertexColumn& src = vertex_cols_[rng_.Uniform(vertex_cols_.size())];
+  // Fetches the int64 "id" property, which every label has and no vertex
+  // lacks, of `vertex_col` (a random vertex column when empty).
+  void AddGetProperty(PlanBuilder* b, std::string vertex_col = "") {
+    if (vertex_col.empty()) {
+      vertex_col = vertex_cols_[rng_.Uniform(vertex_cols_.size())].name;
+    }
     std::string out = NewCol("p");
-    b->GetProperty(src.name, ctx_.p_id, ValueType::kInt64, out);
+    b->GetProperty(vertex_col, ctx_.p_id, ValueType::kInt64, out);
     int_cols_.push_back(out);
+    int_source_.push_back(vertex_col);
   }
 
-  void AddFilter(PlanBuilder* b) {
-    if (int_cols_.empty()) {
-      AddGetProperty(b);
+  // A range filter on an int column; on the id of `vertex_col` when given.
+  void AddFilter(PlanBuilder* b, const std::string& vertex_col = "") {
+    if (int_cols_.empty() || !vertex_col.empty()) {
+      AddGetProperty(b, vertex_col);
     }
-    const std::string& col = int_cols_[rng_.Uniform(int_cols_.size())];
+    const std::string& col = vertex_col.empty()
+                                 ? int_cols_[rng_.Uniform(int_cols_.size())]
+                                 : int_cols_.back();
     int64_t bound = static_cast<int64_t>(rng_.Uniform(500));
     ExprPtr pred = rng_.Bernoulli(0.5)
                        ? Expr::Lt(Expr::Col(col), Expr::Lit(Value::Int(bound)))
@@ -219,10 +242,40 @@ class RandomPlanGenerator {
     b->Filter(std::move(pred));
   }
 
+  // Groups by one key, two keys of one f-Tree node (an int column and the
+  // vertex it was read from), or two keys of two nodes (two vertex
+  // columns), and counts, with a SUM and a MIN input at times.
   void AddAggregate(PlanBuilder* b) {
-    const std::string& key = int_cols_[rng_.Uniform(int_cols_.size())];
-    b->Aggregate({key}, {AggSpec{AggSpec::kCount, "", "cnt"}});
-    b->OrderBy({{key, true}}, 64);
+    const size_t pick = rng_.Uniform(int_cols_.size());
+    std::vector<std::string> group = {int_cols_[pick]};
+    switch (rng_.Uniform(3)) {
+      case 0:
+        group.push_back(int_source_[pick]);
+        break;
+      case 1:
+        if (vertex_cols_.size() > 1) {
+          group = {vertex_cols_[0].name, vertex_cols_.back().name};
+        }
+        break;
+      default:
+        break;
+    }
+    std::vector<AggSpec> aggs = {AggSpec{AggSpec::kCount, "", "cnt"}};
+    if (rng_.Bernoulli(0.4)) {
+      aggs.push_back(AggSpec{AggSpec::kSum,
+                             int_cols_[rng_.Uniform(int_cols_.size())], "sum"});
+    }
+    if (rng_.Bernoulli(0.4)) {
+      aggs.push_back(AggSpec{AggSpec::kMin,
+                             int_cols_[rng_.Uniform(int_cols_.size())], "min"});
+    }
+    std::vector<SortKey> keys;
+    std::vector<std::string> output = group;
+    for (const std::string& g : group) keys.push_back({g, true});
+    for (const AggSpec& a : aggs) output.push_back(a.output);
+    b->Aggregate(group, std::move(aggs));
+    b->OrderBy(std::move(keys), 64);
+    b->Output(std::move(output));
   }
 
   const SnbFixture& fx_;
@@ -230,16 +283,14 @@ class RandomPlanGenerator {
   Rng rng_;
   std::vector<VertexColumn> vertex_cols_;
   std::vector<std::string> int_cols_;
+  std::vector<std::string> int_source_;  // vertex column of each int column
   int next_col_ = 0;
 };
 
-class FuzzPlanTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FuzzPlanTest, EnginesAgreeOnRandomPlans) {
-  SnbFixture& fx = SnbFixture::Shared();
-  static LdbcContext* ctx =
-      new LdbcContext(LdbcContext::Resolve(fx.graph, fx.data.schema));
-  RandomPlanGenerator gen(fx, *ctx, 0xf022 + GetParam() * 131);
+// Runs three random plans in all four engines and requires them to agree.
+void ExpectEnginesAgree(const SnbFixture& fx, uint64_t seed, int param) {
+  LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
+  RandomPlanGenerator gen(fx, ctx, seed);
   GraphView view(&fx.graph);
   for (int i = 0; i < 3; ++i) {
     Plan plan = gen.Generate();
@@ -260,13 +311,96 @@ TEST_P(FuzzPlanTest, EnginesAgreeOnRandomPlans) {
                           ExecMode::kFactorizedFused}) {
       QueryResult r = Executor(mode).Run(plan, view);
       EXPECT_EQ(SortedRows(r.table), expected)
-          << "mode=" << ExecModeName(mode) << " seed=" << GetParam()
+          << "mode=" << ExecModeName(mode) << " seed=" << param
           << " plan#" << i;
     }
   }
 }
 
+class FuzzPlanTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FuzzPlanTest, EnginesAgreeOnRandomPlans) {
+  ExpectEnginesAgree(SnbFixture::Shared(), 0xf022 + GetParam() * 131,
+                     GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPlanTest, ::testing::Range(0, 20));
+
+// The same oracle on updated storage: reads go through overlay entries,
+// compacted (varint) levels and post-bulk vertices, which a counted
+// Expand's Degree and the typed-key grouping must read like the neighbor
+// lists the other engines enumerate.
+class MutatedFuzzPlanTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MutatedFuzzPlanTest, EnginesAgreeOnRandomPlans) {
+  ExpectEnginesAgree(testutil::MutatedSnbFixture(), 0x3a7e + GetParam() * 131,
+                     GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MutatedFuzzPlanTest, ::testing::Range(0, 20));
+
+// Every vertex of a label, grouped by id, counting its neighbors through a
+// counted Expand, with and without a Filter on the source after it: the
+// factorized engines' Degree reads must match the lists kFlat enumerates
+// for every vertex, on the bulk graph and on the updated one (overlay
+// entries, varint levels, post-bulk tail).
+TEST(CountedExpandTest, DegreesMatchFlatOnEveryVertex) {
+  for (SnbFixture* fx :
+       {&SnbFixture::Shared(), &testutil::MutatedSnbFixture()}) {
+    LdbcContext ctx = LdbcContext::Resolve(fx->graph, fx->data.schema);
+    GraphView view(&fx->graph);
+    const SnbSchema& s = ctx.s;
+    const std::pair<LabelId, RelationId> hops[] = {
+        {s.person, ctx.knows},          {s.person, ctx.person_posts},
+        {s.person, ctx.person_member_of}, {s.forum, ctx.forum_posts},
+        {s.forum, ctx.forum_members},   {s.post, ctx.post_forum},
+        {s.post, ctx.post_replies},     {s.comment, ctx.comment_reply_of_post},
+        {s.tag, ctx.tag_posts}};
+    for (const auto& [label, rel] : hops) {
+      for (bool filter : {false, true}) {
+        PlanBuilder b("counted");
+        b.ScanByLabel("v", label).Expand("v", "w", {rel});
+        b.GetProperty("v", ctx.p_id, ValueType::kInt64, "vid");
+        if (filter) {
+          b.Filter(Expr::Ge(Expr::Col("vid"), Expr::Lit(Value::Int(7))));
+        }
+        b.Aggregate({"vid"}, {AggSpec{AggSpec::kCount, "", "cnt"}})
+            .Output({"vid", "cnt"});
+        Plan plan = b.Build();
+        std::vector<std::string> expected =
+            SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
+        ASSERT_FALSE(expected.empty());
+        EXPECT_EQ(SortedRows(
+                      Executor(ExecMode::kFactorizedFused).Run(plan, view).table),
+                  expected)
+            << "rel=" << rel << " filter=" << filter;
+      }
+    }
+  }
+}
+
+// IC5, whose post Expand is counted and whose grouping takes typed keys,
+// returns kFlat's rows in kFlat's order in every engine, on the bulk and
+// on the updated graph (it reads only forum ids, which no forum lacks).
+TEST(CountedExpandTest, Ic5MatchesFlatInEveryEngine) {
+  for (SnbFixture* fx :
+       {&SnbFixture::Shared(), &testutil::MutatedSnbFixture()}) {
+    LdbcContext ctx = LdbcContext::Resolve(fx->graph, fx->data.schema);
+    ParamGen gen(&fx->graph, &fx->data, /*seed=*/55);
+    GraphView view(&fx->graph);
+    for (int i = 0; i < 5; ++i) {
+      Plan plan = BuildIC(5, ctx, gen.Next());
+      std::vector<std::string> expected = testutil::OrderedRows(
+          Executor(ExecMode::kFlat).Run(plan, view).table);
+      for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFactorized,
+                            ExecMode::kFactorizedFused}) {
+        EXPECT_EQ(testutil::OrderedRows(Executor(mode).Run(plan, view).table),
+                  expected)
+            << ExecModeName(mode) << " params#" << i;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ges

@@ -10,6 +10,7 @@
 #include "datagen/snb_generator.h"
 #include "executor/executor.h"
 #include "executor/flatblock.h"
+#include "queries/ldbc.h"
 #include "storage/graph.h"
 
 namespace ges::testutil {
@@ -124,6 +125,33 @@ struct SnbFixture {
     return *fixture;
   }
 };
+
+// A second copy of the shared fixture's graph, updated and cached per
+// process: 1500 seeded IUs (IU6 adds posts to forums), a forced compaction of
+// forum_posts, post_forum and knows, 1500 more IUs, then a GC pass. Reads
+// of it go through overlay entries, varint levels and the post-bulk tail.
+// Every vertex an IU creates has its "id" property.
+inline SnbFixture& MutatedSnbFixture() {
+  static SnbFixture* fixture = [] {
+    auto* fx = new SnbFixture();
+    LdbcContext ctx = LdbcContext::Resolve(fx->graph, fx->data.schema);
+    ParamGen params(&fx->graph, &fx->data, /*seed=*/99);
+    auto run_ius = [&](uint64_t seed) {
+      for (int i = 0; i < 1500; ++i) {
+        RunIU(1 + i % 8, ctx, &fx->graph, &params, seed + i);
+      }
+    };
+    run_ius(1);
+    CompactionOptions force;
+    force.force = true;
+    force.only = {ctx.forum_posts, ctx.post_forum, ctx.knows};
+    fx->graph.CompactRelations(force);
+    run_ius(100000);
+    fx->graph.PruneVersions();
+    return fx;
+  }();
+  return *fixture;
+}
 
 }  // namespace ges::testutil
 
