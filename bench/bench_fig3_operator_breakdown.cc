@@ -5,7 +5,6 @@
 #include <map>
 
 #include "bench/bench_util.h"
-#include "common/timer.h"
 
 using namespace ges;
 using namespace ges::bench;
@@ -97,24 +96,6 @@ int main(int argc, char** argv) {
                           static_cast<double>(peak));
   }
 
-  // Ablation: vectorized filter kernel on vs. off (GES_f, IC9 date filter).
-  std::printf("\nAblation: vectorized filter on vs. off (GES_f, IC9):\n");
-  for (bool vectorized : {false, true}) {
-    ExecOptions opt;
-    opt.vectorized_filter = vectorized;
-    opt.collect_stats = false;
-    Executor fact(ExecMode::kFactorized, opt);
-    ParamGen gen(&g->graph, &g->data, 556);
-    Timer t;
-    for (int i = 0; i < params; ++i) {
-      LdbcParams p = gen.Next();
-      fact.Run(BuildIC(9, g->ctx, p), view);
-    }
-    json.AddSectionScalar(vectorized ? "vectorized_on" : "vectorized_off",
-                          "total_millis", t.ElapsedMillis());
-    std::printf("  vectorized=%s: total %s\n", vectorized ? "on " : "off",
-                HumanMillis(t.ElapsedMillis()).c_str());
-  }
   MaybeWriteJson(argc, argv, json);
   return 0;
 }

@@ -27,12 +27,12 @@ namespace {
 
 constexpr int kSelectivities[] = {1, 5, 10, 25, 50, 75, 90, 99};
 
-// Millis for `iters` passes of the interpreted filter loop (the exact loop
-// TryFactFilter runs when kernels are off).
-double RunInterpreted(const Expr& e, const Schema& schema,
-                      const ValueVector& col, std::vector<uint8_t>* sel,
-                      int iters) {
-  BoundExpr pred = BoundExpr::Bind(e, schema);
+// Millis for `iters` passes of the interpreted filter loop: a BoundExpr
+// evaluated row by row over boxed Values, as the flat engine filters.
+double RunInterpreted(const Expr& e, const FBlock& block,
+                      std::vector<uint8_t>* sel, int iters) {
+  BoundExpr pred = BoundExpr::Bind(e, block.schema());
+  const ValueVector& col = block.Column(0);
   size_t rows = col.size();
   Timer t;
   for (int it = 0; it < iters; ++it) {
@@ -45,17 +45,10 @@ double RunInterpreted(const Expr& e, const Schema& schema,
   return t.ElapsedMillis();
 }
 
-double RunKernel(const Expr& e, const Schema& schema, const ValueVector& col,
-                 std::vector<uint8_t>* sel, int iters) {
-  std::vector<const ValueVector*> phys{&col};
-  std::unique_ptr<CompiledExpr> kernel =
-      CompiledExpr::CompileFilter(e, schema, phys);
-  if (kernel == nullptr) {
-    std::fprintf(stderr, "predicate failed to compile: %s\n",
-                 e.ToString().c_str());
-    std::exit(1);
-  }
-  size_t rows = col.size();
+double RunKernel(const Expr& e, const FBlock& block, std::vector<uint8_t>* sel,
+                 int iters) {
+  std::unique_ptr<CompiledExpr> kernel = CompiledExpr::CompileFilter(e, block);
+  size_t rows = block.NumRows();
   Timer t;
   for (int it = 0; it < iters; ++it) {
     std::memset(sel->data(), 1, rows);
@@ -83,17 +76,17 @@ int main(int argc, char** argv) {
   std::uniform_int_distribution<int> pct(0, 99);
 
   // Int column: uniform [0, 100), so `age < s` selects s%.
-  Schema int_schema;
-  int_schema.Add("age", ValueType::kInt64);
-  ValueVector age(ValueType::kInt64);
-  age.Reserve(rows);
-  for (size_t r = 0; r < rows; ++r) age.AppendInt(pct(rng));
+  FBlock int_block;
+  {
+    ValueVector age(ValueType::kInt64);
+    age.Reserve(rows);
+    for (size_t r = 0; r < rows; ++r) age.AppendInt(pct(rng));
+    int_block.AddColumn("age", std::move(age));
+  }
 
   // String pool for the non-matching rows of the string sweeps.
   const char* kPool[] = {"alpha", "beta", "gamma", "delta", "epsilon",
                          "zeta",  "eta",  "theta", "iota",  "kappa"};
-  Schema str_schema;
-  str_schema.Add("name", ValueType::kString);
 
   BenchJsonReport json("filter_selectivity");
   json.AddScalar("rows", static_cast<double>(rows));
@@ -116,6 +109,8 @@ int main(int argc, char** argv) {
     for (size_t r = 0; r < rows; ++r) {
       name.AppendString(roll(col_rng) < s ? "hit" : kPool[pick(col_rng)]);
     }
+    FBlock str_block;
+    str_block.AddColumn("name", std::move(name));
 
     ExprPtr int_pred =
         Expr::Lt(Expr::Col("age"), Expr::Lit(Value::Int(s)));
@@ -123,17 +118,16 @@ int main(int argc, char** argv) {
         Expr::Eq(Expr::Col("name"), Expr::Lit(Value::String("hit")));
 
     std::vector<uint8_t> sel(rows, 1);
-    double int_interp = RunInterpreted(*int_pred, int_schema, age, &sel, iters);
+    double int_interp = RunInterpreted(*int_pred, int_block, &sel, iters);
     size_t int_hits_interp = CountSel(sel);
-    double int_kernel = RunKernel(*int_pred, int_schema, age, &sel, iters);
+    double int_kernel = RunKernel(*int_pred, int_block, &sel, iters);
     if (CountSel(sel) != int_hits_interp) {
       std::fprintf(stderr, "int kernel/interp disagree at s=%d\n", s);
       return 1;
     }
-    double str_interp =
-        RunInterpreted(*str_pred, str_schema, name, &sel, iters);
+    double str_interp = RunInterpreted(*str_pred, str_block, &sel, iters);
     size_t str_hits_interp = CountSel(sel);
-    double str_kernel = RunKernel(*str_pred, str_schema, name, &sel, iters);
+    double str_kernel = RunKernel(*str_pred, str_block, &sel, iters);
     if (CountSel(sel) != str_hits_interp) {
       std::fprintf(stderr, "string kernel/interp disagree at s=%d\n", s);
       return 1;

@@ -17,8 +17,9 @@
 // All variants interpret the same Plan and must produce identical result
 // relations (up to row order before the final OrderBy), which the test
 // suite verifies — our stand-in for the LDBC audit. kVolcano and kFlat
-// evaluate expressions through the interpreted BoundExpr walk and serve as
-// the reference for the factorized engine's compiled kernels.
+// evaluate expressions through the interpreted expression walk and serve as
+// the reference for the factorized engines, whose filters and computed
+// projections on the f-Tree run compiled column kernels (vector_expr.h).
 #ifndef GES_EXECUTOR_EXECUTOR_H_
 #define GES_EXECUTOR_EXECUTOR_H_
 
@@ -49,12 +50,6 @@ struct ExecOptions {
   // Pointer-based join: Expand stores (ptr, len) into adjacency arrays
   // instead of copying neighbor ids (factorized modes only).
   bool pointer_join = true;
-  // Compiled selection-vector kernels for Filter (Section 5,
-  // "Vectorization"; DESIGN.md §9). When false, a Filter confined to one
-  // f-Tree node takes the interpreted BoundExpr walk instead (the Figure 3
-  // ablation); factorized modes only. Fused expand-filters, property
-  // fetches and computed projections always run their column kernels.
-  bool vectorized_filter = true;
   // Maximum concurrent workers for intra-query parallelism (the Runtime
   // component of Figure 1). <= 1 = sequential. Operators whose f-Tree
   // locality makes them embarrassingly parallel — Expand over source rows,

@@ -472,9 +472,6 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
   child->parent_index.assign(rows, IndexRange{0, 0});
 
   const std::string& prop_col = FusedPropertyColumn(op);
-  Schema pred_schema;
-  pred_schema.Add(prop_col, op.property_type);
-
   ValueVector ids(ValueType::kVertex);
   ValueVector props(op.property_type);
 
@@ -509,33 +506,30 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
     cand_range[r] = IndexRange{begin, cand.size()};
   }
 
-  ValueVector cand_props(op.property_type);
-  view.GatherProperties(cand.data(), cand.size(), nullptr, op.property,
-                        &cand_props);
+  // The candidates' property column, as the one-column block the predicate
+  // is compiled against.
+  FBlock cand_block;
+  {
+    ValueVector gathered(op.property_type);
+    view.GatherProperties(cand.data(), cand.size(), nullptr, op.property,
+                          &gathered);
+    cand_block.AddColumn(prop_col, std::move(gathered));
+  }
+  const ValueVector& cand_props = cand_block.Column(0);
   cand_tracker.Update(cand.capacity() * sizeof(VertexId) +
                       cand_props.MemoryBytes() + cand.size());
   ThrowIfInterrupted(options.context);
 
   std::vector<uint8_t> keep(cand.size(), 1);
-  std::vector<const ValueVector*> phys{&cand_props};
   std::unique_ptr<CompiledExpr> kernel = CompiledExpr::CompileFilter(
-      *op.predicate, pred_schema, phys, options.column_stats);
-  if (kernel != nullptr) {
-    CompiledExpr* k = kernel.get();
-    auto run = [k, &keep](size_t lo, size_t hi) {
-      k->EvalFilter(keep.data(), lo, hi);
-    };
-    TaskScheduler::Global().ParallelFor(0, cand.size(), kFilterMorselRows,
-                                        options.intra_query_threads, run,
-                                        options.context);
-  } else {
-    BoundExpr pred = BoundExpr::Bind(*op.predicate, pred_schema);
-    for (size_t i = 0; i < cand.size(); ++i) {
-      Value pv = cand_props.GetValue(i);
-      auto getter = [&pv](int) -> Value { return pv; };
-      keep[i] = pred.Eval(getter).AsBool() ? 1 : 0;
-    }
-  }
+      *op.predicate, cand_block, options.column_stats);
+  CompiledExpr* k = kernel.get();
+  auto run = [k, &keep](size_t lo, size_t hi) {
+    k->EvalFilter(keep.data(), lo, hi);
+  };
+  TaskScheduler::Global().ParallelFor(0, cand.size(), kFilterMorselRows,
+                                      options.intra_query_threads, run,
+                                      options.context);
 
   if (op.keep_property && cand_props.dict_encoded()) {
     props.InitDict(cand_props.dict());
@@ -612,32 +606,23 @@ FTreeNode* SingleNodeOf(const FTree& tree,
   return node;
 }
 
-// Per-schema-column physical vectors for kernel compilation. The head
-// column of a lazy block has no materialized vector — left nullptr, so a
-// predicate referencing it fails compilation and the interpreted path runs.
-std::vector<const ValueVector*> PhysicalColumns(const FBlock& block) {
-  std::vector<const ValueVector*> cols(block.schema().size(), nullptr);
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (block.lazy() && i == 0) continue;
-    cols[i] = &block.Column(static_cast<int>(i));
-  }
-  return cols;
-}
-
-// Vectorized filter: the whole predicate compiles to type-specialized
-// selection kernels over the raw column arrays (executor/vector_expr.h) —
-// comparisons, IN, StartsWith, arithmetic, and AND/OR with
-// selectivity-ordered short-circuiting; string equality compares dictionary
-// codes. Large blocks run the kernel morsel-parallel — each morsel refines
-// a disjoint slice of the selection vector, so the result is independent of
-// the thread count. Returns false when some construct has no kernel (the
-// caller falls back to the interpreted BoundExpr loop).
-bool TryVectorizedFilter(FTreeNode* node, const PlanOp& op,
-                         const ExecOptions& options) {
-  std::vector<const ValueVector*> phys = PhysicalColumns(node->block);
+// Filter: when the predicate's attributes live in one f-Tree node, update
+// that node's selection vector in place — no data movement at all. The
+// whole predicate compiles to type-specialized selection kernels over the
+// raw column arrays (executor/vector_expr.h) — comparisons, IN, StartsWith,
+// arithmetic, and AND/OR with selectivity-ordered short-circuiting; string
+// equality compares dictionary codes. Large blocks run the kernel
+// morsel-parallel — each morsel refines a disjoint slice of the selection
+// vector, so the result is independent of the thread count.
+bool TryFactFilter(FactState* state, const PlanOp& op,
+                   const ExecOptions& options) {
+  std::vector<std::string> cols;
+  op.predicate->CollectColumns(&cols);
+  FTreeNode* node = SingleNodeOf(*state->tree, cols);
+  if (node == nullptr && !cols.empty()) return false;
+  if (node == nullptr) node = state->tree->root();
   std::unique_ptr<CompiledExpr> kernel = CompiledExpr::CompileFilter(
-      *op.predicate, node->block.schema(), phys, options.column_stats);
-  if (kernel == nullptr) return false;
+      *op.predicate, node->block, options.column_stats);
   std::vector<uint8_t>& sel = node->MutableSel();
   CompiledExpr* k = kernel.get();
   auto run = [k, &sel](size_t lo, size_t hi) {
@@ -650,35 +635,9 @@ bool TryVectorizedFilter(FTreeNode* node, const PlanOp& op,
   return true;
 }
 
-// Filter: when the predicate's attributes live in one f-Tree node, update
-// that node's selection vector in place — no data movement at all.
-bool TryFactFilter(FactState* state, const PlanOp& op,
-                   const ExecOptions& options) {
-  std::vector<std::string> cols;
-  op.predicate->CollectColumns(&cols);
-  FTreeNode* node = SingleNodeOf(*state->tree, cols);
-  if (node == nullptr && !cols.empty()) return false;
-  if (node == nullptr) node = state->tree->root();
-  if (options.vectorized_filter && TryVectorizedFilter(node, op, options)) {
-    return true;
-  }
-  BoundExpr pred = BoundExpr::Bind(*op.predicate, node->block.schema());
-  std::vector<uint8_t>& sel = node->MutableSel();
-  size_t rows = node->block.NumRows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (sel[r] == 0) continue;
-    auto getter = [&](int i) -> Value { return node->block.GetValue(r, i); };
-    if (!pred.Eval(getter).AsBool()) sel[r] = 0;
-  }
-  return true;
-}
-
 // Project: computed expressions whose inputs are confined to one node are
-// appended to that node's block (columnar append). Kernelizable expressions
-// run compiled column loops; anything else takes the interpreted per-row
-// walk.
-bool TryFactProject(FactState* state, const PlanOp& op,
-                    const ExecOptions& options) {
+// appended to that node's block (columnar append) by compiled column loops.
+bool TryFactProject(FactState* state, const PlanOp& op) {
   if (!op.selections.empty()) return false;  // pruning => flatten
   for (const ComputedColumn& c : op.computed) {
     std::vector<std::string> cols;
@@ -692,20 +651,8 @@ bool TryFactProject(FactState* state, const PlanOp& op,
     size_t rows = node->block.NumRows();
     ValueVector out(c.type);
     out.Reserve(rows);
-    std::vector<const ValueVector*> phys = PhysicalColumns(node->block);
-    std::unique_ptr<CompiledExpr> kernel =
-        CompiledExpr::CompileProject(*c.expr, node->block.schema(), phys);
-    if (kernel != nullptr) {
-      kernel->EvalProject(0, rows, &out);
-    } else {
-      BoundExpr e = BoundExpr::Bind(*c.expr, node->block.schema());
-      for (size_t r = 0; r < rows; ++r) {
-        auto getter = [&](int i) -> Value {
-          return node->block.GetValue(r, i);
-        };
-        out.AppendValue(e.Eval(getter));
-      }
-    }
+    CompiledExpr::CompileProject(*c.expr, node->block)
+        ->EvalProject(0, rows, &out);
     node->block.AppendAlignedColumn(c.name, std::move(out));
     state->tree->RegisterColumns(node);
   }
@@ -916,7 +863,7 @@ QueryResult Executor::RunFactorized(const Plan& plan,
           }
           break;
         case OpType::kProject:
-          if (!TryFactProject(&state, op, options_)) {
+          if (!TryFactProject(&state, op)) {
             FlattenState(&state, options_);
             state.flat = ApplyFlatOp(std::move(state.flat), op, view, nullptr,
                                      options_.context);

@@ -26,6 +26,15 @@ void FBlock::Materialize() {
   seg_offsets_.shrink_to_fit();
 }
 
+void FBlock::CopyHeadIds(uint64_t lo, uint64_t hi, int64_t* out) const {
+  for (size_t seg = SegmentIndexOf(lo); lo < hi; ++seg) {
+    uint64_t end = std::min(hi, seg_offsets_[seg + 1]);
+    const VertexId* ids = segments_[seg].ids + (lo - seg_offsets_[seg]);
+    out = std::copy(ids, ids + (end - lo), out);
+    lo = end;
+  }
+}
+
 size_t FBlock::MemoryBytes() const {
   size_t bytes = 0;
   for (const ValueVector& c : columns_) bytes += c.MemoryBytes();

@@ -94,6 +94,9 @@ class FBlock {
     size_t seg = SegmentIndexOf(row);
     return segments_[seg].ids[row - seg_offsets_[seg]];
   }
+  // Copies the lazy head's ids of rows [lo, hi) into `out`, a segment run
+  // at a time; the column itself stays unmaterialized.
+  void CopyHeadIds(uint64_t lo, uint64_t hi, int64_t* out) const;
   // Edge stamp parallel to the lazy vertex column (0 if absent).
   int64_t StampAt(uint64_t row) const {
     size_t seg = SegmentIndexOf(row);

@@ -1,6 +1,7 @@
 #include "executor/vector_expr.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -162,6 +163,24 @@ struct ColumnNode final : ValNode {
         break;
       }
     }
+  }
+};
+
+// The head column of a lazy (pointer-join) block. It has no vector, so
+// each call copies the ids of its rows from the block's adjacency segments
+// into the caller's per-call storage (IView/DView).
+struct LazyHeadNode final : ValNode {
+  const FBlock* block;
+  explicit LazyHeadNode(const FBlock* b) : block(b) {
+    type = ValueType::kVertex;
+  }
+  void EvalI(size_t lo, size_t hi, int64_t* out) const override {
+    block->CopyHeadIds(lo, hi, out);
+  }
+  void EvalD(size_t lo, size_t hi, double* out) const override {
+    std::vector<int64_t> ids(hi - lo);
+    block->CopyHeadIds(lo, hi, ids.data());
+    for (size_t i = 0; i < hi - lo; ++i) out[i] = static_cast<double>(ids[i]);
   }
 };
 
@@ -802,8 +821,7 @@ struct BoolWrapNode final : ValNode {
 // ---------------------------------------------------------------------------
 
 struct CompileCtx {
-  const Schema* schema;
-  const std::vector<const ValueVector*>* columns;
+  const FBlock* block;
   // Optional per-column NDV/min-max statistics; when present, comparison
   // nodes get stats-driven selectivity estimates instead of CmpEst guesses.
   const std::unordered_map<std::string, ColumnStat>* stats = nullptr;
@@ -814,11 +832,12 @@ BoolPtr CompileBool(const Expr& e, const CompileCtx& ctx);
 ValPtr CompileVal(const Expr& e, const CompileCtx& ctx) {
   switch (e.op) {
     case ExprOp::kColumn: {
-      int idx = ctx.schema->IndexOf(e.column);
-      if (idx < 0) return nullptr;
-      const ValueVector* col = (*ctx.columns)[idx];
-      if (col == nullptr) return nullptr;  // no physical vector (lazy head)
-      return std::make_unique<ColumnNode>(col);
+      int idx = ctx.block->schema().IndexOf(e.column);
+      assert(idx >= 0 && "column not bindable against schema");
+      if (ctx.block->lazy() && idx == 0) {
+        return std::make_unique<LazyHeadNode>(ctx.block);
+      }
+      return std::make_unique<ColumnNode>(&ctx.block->Column(idx));
     }
     case ExprOp::kConst:
       return std::make_unique<ConstNode>(e.constant);
@@ -830,41 +849,30 @@ ValPtr CompileVal(const Expr& e, const CompileCtx& ctx) {
     case ExprOp::kAdd:
     case ExprOp::kSub:
     case ExprOp::kMul: {
-      ValPtr a = CompileVal(*e.args[0], ctx);
-      if (a == nullptr) return nullptr;
-      ValPtr b = CompileVal(*e.args[1], ctx);
-      if (b == nullptr) return nullptr;
-      return std::make_unique<ArithNode>(std::move(a), std::move(b), e.op);
+      return std::make_unique<ArithNode>(CompileVal(*e.args[0], ctx),
+                                         CompileVal(*e.args[1], ctx), e.op);
     }
-    default: {
-      BoolPtr b = CompileBool(e, ctx);
-      if (b == nullptr) return nullptr;
-      return std::make_unique<BoolWrapNode>(std::move(b));
-    }
+    default:
+      return std::make_unique<BoolWrapNode>(CompileBool(e, ctx));
   }
 }
 
 // Flattens nested kAnd/kOr into one operand list (associativity) so the
 // selectivity ordering sees all operands at once.
-bool CollectOperands(const Expr& e, ExprOp op, const CompileCtx& ctx,
+void CollectOperands(const Expr& e, ExprOp op, const CompileCtx& ctx,
                      std::vector<BoolPtr>* out) {
   for (const ExprPtr& a : e.args) {
     if (a->op == op) {
-      if (!CollectOperands(*a, op, ctx, out)) return false;
-      continue;
+      CollectOperands(*a, op, ctx, out);
+    } else {
+      out->push_back(CompileBool(*a, ctx));
     }
-    BoolPtr c = CompileBool(*a, ctx);
-    if (c == nullptr) return false;
-    out->push_back(std::move(c));
   }
-  return true;
 }
 
 BoolPtr CompileCmpNode(const Expr& e, const CompileCtx& ctx) {
   ValPtr a = CompileVal(*e.args[0], ctx);
-  if (a == nullptr) return nullptr;
   ValPtr b = CompileVal(*e.args[1], ctx);
-  if (b == nullptr) return nullptr;
   const Value* ca = a->constant();
   const Value* cb = b->constant();
   if (ca != nullptr && cb != nullptr) {
@@ -896,7 +904,7 @@ BoolPtr CompileCmpNode(const Expr& e, const CompileCtx& ctx) {
 
 BoolPtr CompileCmp(const Expr& e, const CompileCtx& ctx) {
   BoolPtr node = CompileCmpNode(e, ctx);
-  if (node != nullptr && ctx.stats != nullptr &&
+  if (ctx.stats != nullptr &&
       dynamic_cast<ConstBoolNode*>(node.get()) == nullptr) {
     // EstimateSelectivity falls back to the same static guesses as the
     // node constructors, so this only changes the AND/OR ordering when the
@@ -911,7 +919,7 @@ BoolPtr CompileBool(const Expr& e, const CompileCtx& ctx) {
     case ExprOp::kAnd:
     case ExprOp::kOr: {
       std::vector<BoolPtr> kids;
-      if (!CollectOperands(e, e.op, ctx, &kids)) return nullptr;
+      CollectOperands(e, e.op, ctx, &kids);
       bool is_and = e.op == ExprOp::kAnd;
       std::vector<BoolPtr> keep;
       for (BoolPtr& k : kids) {
@@ -931,7 +939,6 @@ BoolPtr CompileBool(const Expr& e, const CompileCtx& ctx) {
     }
     case ExprOp::kNot: {
       BoolPtr c = CompileBool(*e.args[0], ctx);
-      if (c == nullptr) return nullptr;
       if (auto* cb = dynamic_cast<ConstBoolNode*>(c.get())) {
         return std::make_unique<ConstBoolNode>(!cb->value);
       }
@@ -939,13 +946,11 @@ BoolPtr CompileBool(const Expr& e, const CompileCtx& ctx) {
     }
     case ExprOp::kIsNull: {
       ValPtr v = CompileVal(*e.args[0], ctx);
-      if (v == nullptr) return nullptr;
       // Typed vectors never hold nulls, so the static type decides.
       return std::make_unique<ConstBoolNode>(v->type == ValueType::kNull);
     }
     case ExprOp::kIn: {
       ValPtr v = CompileVal(*e.args[0], ctx);
-      if (v == nullptr) return nullptr;
       if (const Value* cv = v->constant()) {
         bool hit = false;
         for (const Value& c : e.list) hit = hit || (*cv == c);
@@ -964,7 +969,6 @@ BoolPtr CompileBool(const Expr& e, const CompileCtx& ctx) {
     }
     case ExprOp::kStartsWith: {
       ValPtr v = CompileVal(*e.args[0], ctx);
-      if (v == nullptr) return nullptr;
       const std::string& p = e.constant.AsString();
       if (const Value* cv = v->constant()) {
         const std::string& s = cv->AsString();
@@ -986,7 +990,6 @@ BoolPtr CompileBool(const Expr& e, const CompileCtx& ctx) {
       return CompileCmp(e, ctx);
     default: {  // value expression in boolean position
       ValPtr v = CompileVal(e, ctx);
-      if (v == nullptr) return nullptr;
       if (const Value* cv = v->constant()) {
         return std::make_unique<ConstBoolNode>(cv->AsBool());
       }
@@ -1009,24 +1012,18 @@ CompiledExpr::CompiledExpr(std::unique_ptr<vexpr::BoolNode> b,
 CompiledExpr::~CompiledExpr() = default;
 
 std::unique_ptr<CompiledExpr> CompiledExpr::CompileFilter(
-    const Expr& expr, const Schema& schema,
-    const std::vector<const ValueVector*>& columns,
+    const Expr& expr, const FBlock& block,
     const std::unordered_map<std::string, ColumnStat>* column_stats) {
-  vexpr::CompileCtx ctx{&schema, &columns, column_stats};
-  auto root = vexpr::CompileBool(expr, ctx);
-  if (root == nullptr) return nullptr;
+  vexpr::CompileCtx ctx{&block, column_stats};
   return std::unique_ptr<CompiledExpr>(
-      new CompiledExpr(std::move(root), nullptr));
+      new CompiledExpr(vexpr::CompileBool(expr, ctx), nullptr));
 }
 
 std::unique_ptr<CompiledExpr> CompiledExpr::CompileProject(
-    const Expr& expr, const Schema& schema,
-    const std::vector<const ValueVector*>& columns) {
-  vexpr::CompileCtx ctx{&schema, &columns};
-  auto root = vexpr::CompileVal(expr, ctx);
-  if (root == nullptr) return nullptr;
+    const Expr& expr, const FBlock& block) {
+  vexpr::CompileCtx ctx{&block};
   return std::unique_ptr<CompiledExpr>(
-      new CompiledExpr(nullptr, std::move(root)));
+      new CompiledExpr(nullptr, vexpr::CompileVal(expr, ctx)));
 }
 
 void CompiledExpr::EvalFilter(uint8_t* sel, size_t lo, size_t hi) const {

@@ -14,8 +14,11 @@
 //    already decided true are skipped for later disjuncts;
 //  * arithmetic — typed column math with the interpreter's promotion rules.
 //
-// Compilation is total-or-nothing: any construct without a kernel returns
-// nullptr and the caller falls back to the interpreted BoundExpr, which
+// Compilation is total: every expression bound against a block's schema
+// has a kernel, including one that reads the head column of a lazy
+// (pointer-join) block, whose ids are copied from the adjacency segments a
+// row range at a time. Filters and projections on the f-Tree therefore
+// have no interpreted route; the interpreted BoundExpr (kFlat, Volcano)
 // stays the semantic oracle (see tests/kernels_test.cc). Kernel results
 // match BoundExpr::Eval bit-for-bit, including the Value union semantics
 // (AsBool/AsInt of a double reinterprets bits, AsString of a non-string is
@@ -26,10 +29,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/value.h"
 #include "executor/expression.h"
+#include "executor/fblock.h"
 #include "executor/schema.h"
 
 namespace ges {
@@ -41,22 +44,19 @@ struct ValNode;
 
 class CompiledExpr {
  public:
-  // Compiles `expr` as a predicate. `columns[i]` is the physical vector of
-  // schema column i, or nullptr when no materialized vector exists (the
-  // leading column of a lazy block) — referencing such a column fails
-  // compilation. Returns nullptr when the expression cannot be kernelized.
-  // `column_stats`, when provided, replaces the static per-op selectivity
-  // guesses with NDV/min-max estimates for the AND/OR conjunct ordering.
+  // Compiles `expr` as a predicate over the rows of `block`, which must
+  // outlive the result. Every column `expr` names must be in the block's
+  // schema (asserted, as BoundExpr::Bind does). `column_stats`, when
+  // provided, replaces the static per-op selectivity guesses with
+  // NDV/min-max estimates for the AND/OR conjunct ordering.
   static std::unique_ptr<CompiledExpr> CompileFilter(
-      const Expr& expr, const Schema& schema,
-      const std::vector<const ValueVector*>& columns,
+      const Expr& expr, const FBlock& block,
       const std::unordered_map<std::string, ColumnStat>* column_stats =
           nullptr);
 
   // Compiles `expr` as a value producer (computed projections).
-  static std::unique_ptr<CompiledExpr> CompileProject(
-      const Expr& expr, const Schema& schema,
-      const std::vector<const ValueVector*>& columns);
+  static std::unique_ptr<CompiledExpr> CompileProject(const Expr& expr,
+                                                      const FBlock& block);
 
   ~CompiledExpr();
 

@@ -254,12 +254,11 @@ Plan IC12(const LdbcContext& c, const LdbcParams& p) {
 
 // Unweighted BFS distance between two persons (-1 if unreachable).
 int BfsDistance(const GraphView& view, RelationId knows, VertexId a,
-                VertexId b, std::vector<VertexId>* parents_out = nullptr) {
+                VertexId b) {
   if (a == b) return 0;
-  std::unordered_map<VertexId, VertexId> parent;
+  std::unordered_set<VertexId> seen = {a};
   std::deque<std::pair<VertexId, int>> queue;
   queue.emplace_back(a, 0);
-  parent[a] = a;
   AdjScratch adj;
   while (!queue.empty()) {
     auto [v, d] = queue.front();
@@ -267,18 +266,8 @@ int BfsDistance(const GraphView& view, RelationId knows, VertexId a,
     AdjSpan span = view.Neighbors(knows, v, &adj);
     for (uint32_t i = 0; i < span.size; ++i) {
       VertexId w = span.ids[i];
-      if (parent.count(w) != 0) continue;
-      parent[w] = v;
-      if (w == b) {
-        if (parents_out != nullptr) {
-          for (VertexId x = b; x != a; x = parent[x]) {
-            parents_out->push_back(x);
-          }
-          parents_out->push_back(a);
-          std::reverse(parents_out->begin(), parents_out->end());
-        }
-        return d + 1;
-      }
+      if (!seen.insert(w).second) continue;
+      if (w == b) return d + 1;
       queue.emplace_back(w, d + 1);
     }
   }

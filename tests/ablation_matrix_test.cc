@@ -1,7 +1,7 @@
 // Exhaustive ablation-matrix equivalence: every IC query must produce the
 // same result under every combination of the executor's optimization
-// options — pointer join, vectorized filters, each fusion rule, and
-// intra-query parallelism. Optimizations must be exact.
+// options — pointer join, each fusion rule, and intra-query parallelism.
+// Optimizations must be exact.
 #include <gtest/gtest.h>
 
 #include "executor/executor.h"
@@ -26,11 +26,6 @@ std::vector<OptionCombo> Combos() {
     ExecOptions o;
     o.pointer_join = false;
     combos.push_back({"no_pointer_join", o});
-  }
-  {
-    ExecOptions o;
-    o.vectorized_filter = false;
-    combos.push_back({"no_vectorized_filter", o});
   }
   {
     ExecOptions o;
@@ -62,7 +57,6 @@ std::vector<OptionCombo> Combos() {
   {
     ExecOptions o;
     o.pointer_join = false;
-    o.vectorized_filter = false;
     o.fuse_filter_into_expand = false;
     o.fuse_topk = false;
     o.fuse_agg_project_top = false;

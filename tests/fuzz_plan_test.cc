@@ -228,7 +228,29 @@ class RandomPlanGenerator {
   }
 
   // A range filter on an int column; on the id of `vertex_col` when given.
+  // Otherwise, after an Expand, at times the newest vertex column itself
+  // against one of its label's vertices: on a pointer-join Expand's leaf, a
+  // filter on the head of a lazy block.
   void AddFilter(PlanBuilder* b, const std::string& vertex_col = "") {
+    if (vertex_col.empty() && vertex_cols_.size() > 1 && rng_.Bernoulli(0.5)) {
+      const VertexColumn& vc = vertex_cols_.back();
+      std::vector<VertexId> vs;
+      fx_.graph.ScanLabel(vc.label, fx_.graph.CurrentVersion(), &vs);
+      VertexId pick = vs.empty() ? 0 : vs[rng_.Uniform(vs.size())];
+      ExprPtr pivot = Expr::Lit(Value::Vertex(pick));
+      switch (rng_.Uniform(3)) {
+        case 0:
+          b->Filter(Expr::Lt(Expr::Col(vc.name), pivot));
+          break;
+        case 1:
+          b->Filter(Expr::Ge(Expr::Col(vc.name), pivot));
+          break;
+        default:
+          b->Filter(Expr::Ne(Expr::Col(vc.name), pivot));
+          break;
+      }
+      return;
+    }
     if (int_cols_.empty() || !vertex_col.empty()) {
       AddGetProperty(b, vertex_col);
     }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <random>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/value.h"
 #include "executor/executor.h"
 #include "executor/expression.h"
+#include "executor/fblock.h"
 #include "executor/schema.h"
 #include "tests/test_util.h"
 
@@ -32,20 +34,35 @@ const std::vector<std::string>& StringPool() {
   return pool;
 }
 
-// Random columns + schema. One string column stays dictionary-encoded, one
-// decays to owned strings, so both kernel paths (code compare / decoded
-// compare) are exercised.
+// A block of random typed columns. One string column stays
+// dictionary-encoded, one decays to owned strings, so both kernel paths
+// (code compare / decoded compare) are exercised. A `lazy` block leads with
+// a pointer-join vertex column "v" whose ids live in adjacency-like
+// segments of random sizes, some empty.
 struct ColumnSet {
-  Schema schema;
-  std::vector<ValueVector> columns;
-  std::vector<const ValueVector*> phys;
   StringDict dict;
+  std::vector<std::vector<VertexId>> segments;
+  FBlock block;
 
-  explicit ColumnSet(std::mt19937& rng) {
+  explicit ColumnSet(std::mt19937& rng, bool lazy = false) {
+    int base = 0;
+    if (lazy) {
+      block.InitLazy("v");
+      std::uniform_int_distribution<size_t> len(0, 40);
+      std::uniform_int_distribution<VertexId> id(0, 999);
+      for (size_t rows = 0; rows < kRows;) {
+        segments.emplace_back(std::min(len(rng), kRows - rows));
+        for (VertexId& v : segments.back()) v = id(rng);
+        rows += segments.back().size();
+      }
+      for (const std::vector<VertexId>& seg : segments) {
+        block.AppendSegment(AdjSpan{seg.data(), nullptr,
+                                    static_cast<uint32_t>(seg.size())});
+      }
+      base = 1;
+    }
     auto add = [&](const std::string& name, ValueType t, bool use_dict) {
-      schema.Add(name, t);
-      columns.emplace_back(t);
-      ValueVector& col = columns.back();
+      ValueVector col(t);
       if (t == ValueType::kString && use_dict) col.InitDict(&dict);
       std::uniform_int_distribution<int> ints(-1000, 1000);
       std::uniform_int_distribution<size_t> strs(0, StringPool().size() - 1);
@@ -69,6 +86,7 @@ struct ColumnSet {
             break;
         }
       }
+      block.AddColumn(name, std::move(col));
     };
     // Pool strings are interned up front so the dict column never decays.
     for (const std::string& s : StringPool()) dict.Intern(s);
@@ -79,9 +97,9 @@ struct ColumnSet {
     add("s1", ValueType::kString, false);  // owned strings
     add("t0", ValueType::kDate, false);
     add("b0", ValueType::kBool, false);
-    for (const ValueVector& c : columns) phys.push_back(&c);
-    EXPECT_TRUE(columns[3].dict_encoded());
-    EXPECT_FALSE(columns[4].dict_encoded());
+    EXPECT_EQ(block.NumRows(), kRows);
+    EXPECT_TRUE(block.Column(base + 3).dict_encoded());
+    EXPECT_FALSE(block.Column(base + 4).dict_encoded());
   }
 };
 
@@ -166,10 +184,22 @@ struct ExprGen {
 };
 
 // The oracle: interpreted evaluation against the same columns.
-bool OracleRow(const BoundExpr& pred, const std::vector<ValueVector>& cols,
-               size_t r) {
-  auto getter = [&](int i) -> Value { return cols[i].GetValue(r); };
-  return pred.Eval(getter).AsBool();
+Value OracleValue(const BoundExpr& e, const FBlock& block, size_t r) {
+  return e.Eval([&](int i) -> Value { return block.GetValue(r, i); });
+}
+bool OracleRow(const BoundExpr& pred, const FBlock& block, size_t r) {
+  return OracleValue(pred, block, r).AsBool();
+}
+
+// Kernel values against interpreted ones; NaN != NaN under
+// Value::operator==, so doubles compare bit patterns.
+void ExpectSameValue(const Value& got, const Value& want,
+                     const std::string& what) {
+  if (got.type() == ValueType::kDouble && want.type() == ValueType::kDouble) {
+    EXPECT_EQ(got.AsInt(), want.AsInt()) << what;
+  } else {
+    EXPECT_EQ(got, want) << what;
+  }
 }
 
 class KernelDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -177,37 +207,34 @@ class KernelDifferentialTest : public ::testing::TestWithParam<int> {};
 TEST_P(KernelDifferentialTest, FilterMatchesInterpreterRowByRow) {
   std::mt19937 rng(1234 + GetParam());
   ColumnSet cs(rng);
-  ExprGen gen{rng, cs.schema};
+  ExprGen gen{rng, cs.block.schema()};
 
-  int compiled_count = 0;
   for (int trial = 0; trial < 150; ++trial) {
     ExprPtr e = gen.Bool(3);
     std::unique_ptr<CompiledExpr> kernel =
-        CompiledExpr::CompileFilter(*e, cs.schema, cs.phys);
+        CompiledExpr::CompileFilter(*e, cs.block);
     ASSERT_NE(kernel, nullptr) << e->ToString();
-    ++compiled_count;
 
     std::vector<uint8_t> sel(kRows, 1);
     kernel->EvalFilter(sel.data(), 0, kRows);
-    BoundExpr pred = BoundExpr::Bind(*e, cs.schema);
+    BoundExpr pred = BoundExpr::Bind(*e, cs.block.schema());
     for (size_t r = 0; r < kRows; ++r) {
-      bool expect = OracleRow(pred, cs.columns, r);
+      bool expect = OracleRow(pred, cs.block, r);
       ASSERT_EQ(sel[r] != 0, expect)
           << "row " << r << " of " << e->ToString();
     }
   }
-  EXPECT_EQ(compiled_count, 150);
 }
 
 TEST_P(KernelDifferentialTest, FilterOnlyRefinesItsRange) {
   std::mt19937 rng(4321 + GetParam());
   ColumnSet cs(rng);
-  ExprGen gen{rng, cs.schema};
+  ExprGen gen{rng, cs.block.schema()};
 
   for (int trial = 0; trial < 40; ++trial) {
     ExprPtr e = gen.Bool(2);
     std::unique_ptr<CompiledExpr> kernel =
-        CompiledExpr::CompileFilter(*e, cs.schema, cs.phys);
+        CompiledExpr::CompileFilter(*e, cs.block);
     ASSERT_NE(kernel, nullptr);
 
     // Pre-zeroed rows must stay zero; rows outside [lo, hi) untouched.
@@ -217,14 +244,14 @@ TEST_P(KernelDifferentialTest, FilterOnlyRefinesItsRange) {
     size_t lo = kRows / 4, hi = 3 * kRows / 4;
     kernel->EvalFilter(sel.data(), lo, hi);
 
-    BoundExpr pred = BoundExpr::Bind(*e, cs.schema);
+    BoundExpr pred = BoundExpr::Bind(*e, cs.block.schema());
     for (size_t r = 0; r < kRows; ++r) {
       if (r < lo || r >= hi) {
         ASSERT_EQ(sel[r], before[r]) << "row " << r << " outside range";
       } else if (before[r] == 0) {
         ASSERT_EQ(sel[r], 0) << "zero row revived at " << r;
       } else {
-        ASSERT_EQ(sel[r] != 0, OracleRow(pred, cs.columns, r))
+        ASSERT_EQ(sel[r] != 0, OracleRow(pred, cs.block, r))
             << "row " << r << " of " << e->ToString();
       }
     }
@@ -234,13 +261,13 @@ TEST_P(KernelDifferentialTest, FilterOnlyRefinesItsRange) {
 TEST_P(KernelDifferentialTest, ProjectMatchesInterpreterRowByRow) {
   std::mt19937 rng(9876 + GetParam());
   ColumnSet cs(rng);
-  ExprGen gen{rng, cs.schema};
+  ExprGen gen{rng, cs.block.schema()};
 
   for (int trial = 0; trial < 80; ++trial) {
     // Mix of value expressions and predicates-as-values (BoolWrap path).
     ExprPtr e = trial % 3 == 0 ? gen.Bool(2) : gen.Val(2);
     std::unique_ptr<CompiledExpr> kernel =
-        CompiledExpr::CompileProject(*e, cs.schema, cs.phys);
+        CompiledExpr::CompileProject(*e, cs.block);
     ASSERT_NE(kernel, nullptr) << e->ToString();
 
     ValueVector got(kernel->result_type());
@@ -248,21 +275,13 @@ TEST_P(KernelDifferentialTest, ProjectMatchesInterpreterRowByRow) {
     ASSERT_EQ(got.size(), kRows);
 
     ValueVector want(kernel->result_type());
-    BoundExpr be = BoundExpr::Bind(*e, cs.schema);
+    BoundExpr be = BoundExpr::Bind(*e, cs.block.schema());
     for (size_t r = 0; r < kRows; ++r) {
-      auto getter = [&](int i) -> Value { return cs.columns[i].GetValue(r); };
-      want.AppendValue(be.Eval(getter));
+      want.AppendValue(OracleValue(be, cs.block, r));
     }
     for (size_t r = 0; r < kRows; ++r) {
-      Value g = got.GetValue(r);
-      Value w = want.GetValue(r);
-      // NaN != NaN under Value::operator==; compare bit patterns instead.
-      if (g.type() == ValueType::kDouble && w.type() == ValueType::kDouble) {
-        ASSERT_EQ(g.AsInt(), w.AsInt())
-            << "row " << r << " of " << e->ToString();
-      } else {
-        ASSERT_EQ(g, w) << "row " << r << " of " << e->ToString();
-      }
+      ExpectSameValue(got.GetValue(r), want.GetValue(r),
+                      "row " + std::to_string(r) + " of " + e->ToString());
     }
   }
 }
@@ -272,19 +291,80 @@ TEST_P(KernelDifferentialTest, DictColumnProjectAdoptsDictionary) {
   ColumnSet cs(rng);
   ExprPtr e = Expr::Col("s0");
   std::unique_ptr<CompiledExpr> kernel =
-      CompiledExpr::CompileProject(*e, cs.schema, cs.phys);
+      CompiledExpr::CompileProject(*e, cs.block);
   ASSERT_NE(kernel, nullptr);
   ASSERT_EQ(kernel->result_type(), ValueType::kString);
   ValueVector out(ValueType::kString);
   kernel->EvalProject(0, kRows, &out);
   EXPECT_TRUE(out.dict_encoded());  // code copy, not string copy
   for (size_t r = 0; r < kRows; ++r) {
-    ASSERT_EQ(out.GetString(r), cs.columns[3].GetString(r)) << "row " << r;
+    ASSERT_EQ(out.GetString(r), cs.block.Column(3).GetString(r))
+        << "row " << r;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelDifferentialTest,
                          ::testing::Range(0, 8));
+
+// The head column of a lazy (pointer-join) block has no vector: its kernel
+// reads the ids from the block's segments one row range at a time. Filters
+// and projections that read it compile and match the interpreter row by
+// row, also when a range starts or ends inside a segment.
+TEST(LazyHeadKernelTest, CompilesAndMatchesInterpreterRowByRow) {
+  constexpr size_t kMorsel = 37;  // ranges that split segments
+  for (int seed = 0; seed < 4; ++seed) {
+    std::mt19937 rng(777 + seed);
+    ColumnSet cs(rng, /*lazy=*/true);
+    ExprGen gen{rng, cs.block.schema()};
+    ExprPtr v = Expr::Col("v");
+    std::vector<ExprPtr> filters = {
+        Expr::Lt(v, Expr::Lit(Value::Vertex(500))),
+        Expr::Ge(v, Expr::Lit(Value::Vertex(250))),
+        Expr::Ne(v, Expr::Lit(Value::Vertex(cs.segments.back().back()))),
+        Expr::In(v, {Value::Vertex(cs.segments[0][0]), Value::Int(7)}),
+        Expr::Gt(v, Expr::Col("i0"))};
+    for (int t = 0; t < 60; ++t) filters.push_back(gen.Bool(3));
+    for (const ExprPtr& e : filters) {
+      std::unique_ptr<CompiledExpr> kernel =
+          CompiledExpr::CompileFilter(*e, cs.block);
+      ASSERT_NE(kernel, nullptr) << e->ToString();
+      std::vector<uint8_t> sel(kRows, 1);
+      for (size_t lo = 0; lo < kRows; lo += kMorsel) {
+        kernel->EvalFilter(sel.data(), lo, std::min(kRows, lo + kMorsel));
+      }
+      BoundExpr pred = BoundExpr::Bind(*e, cs.block.schema());
+      for (size_t r = 0; r < kRows; ++r) {
+        ASSERT_EQ(sel[r] != 0, OracleRow(pred, cs.block, r))
+            << "row " << r << " of " << e->ToString();
+      }
+    }
+    std::vector<ExprPtr> values = {
+        v, Expr::Add(v, Expr::Col("d0")),
+        Expr::Mul(v, Expr::Lit(Value::Int(3)))};
+    for (int t = 0; t < 40; ++t) {
+      values.push_back(t % 3 == 0 ? gen.Bool(2) : gen.Val(2));
+    }
+    for (const ExprPtr& e : values) {
+      std::unique_ptr<CompiledExpr> kernel =
+          CompiledExpr::CompileProject(*e, cs.block);
+      ASSERT_NE(kernel, nullptr) << e->ToString();
+      ValueVector got(kernel->result_type());
+      for (size_t lo = 0; lo < kRows; lo += kMorsel) {
+        kernel->EvalProject(lo, std::min(kRows, lo + kMorsel), &got);
+      }
+      ValueVector want(kernel->result_type());
+      BoundExpr be = BoundExpr::Bind(*e, cs.block.schema());
+      for (size_t r = 0; r < kRows; ++r) {
+        want.AppendValue(OracleValue(be, cs.block, r));
+      }
+      ASSERT_EQ(got.size(), kRows);
+      for (size_t r = 0; r < kRows; ++r) {
+        ExpectSameValue(got.GetValue(r), want.GetValue(r),
+                        "row " + std::to_string(r) + " of " + e->ToString());
+      }
+    }
+  }
+}
 
 // --- end-to-end: every ExecMode against the interpreted kFlat engine -----
 
@@ -467,10 +547,10 @@ TEST(KernelEngineEquivalenceTest, FusedExpandFilterAgrees) {
   }
 }
 
-// A predicate the kernel compiler rejects: it reads the head column of a
-// lazy Expand leaf, which has no physical vector (PhysicalColumns leaves it
-// null), so the factorized filter takes its interpreted BoundExpr fallback.
-TEST(KernelEngineEquivalenceTest, UncompilablePredicateFallsBack) {
+// A Filter and a computed Project that read the head column of a lazy
+// Expand leaf, which has no vector: both run as kernels over the leaf's
+// adjacency segments and agree with kFlat.
+TEST(KernelEngineEquivalenceTest, LazyHeadPredicateRunsAsKernel) {
   PropGraph pg(11);
   GraphView view(&pg.graph);
   for (int64_t cut : {-200, 0, 300}) {
@@ -481,7 +561,12 @@ TEST(KernelEngineEquivalenceTest, UncompilablePredicateFallsBack) {
         .Filter(Expr::And(
             Expr::Gt(Expr::Col("m_age"), Expr::Lit(Value::Int(cut))),
             Expr::Lt(Expr::Col("m"), Expr::Lit(Value::Vertex(150)))))
-        .Output({"n", "m", "m_age"});
+        .Project({}, {ComputedColumn{Expr::Add(Expr::Col("m"),
+                                               Expr::Col("m_age")),
+                                     "m_sum", ValueType::kInt64},
+                      ComputedColumn{Expr::Col("m"), "m_copy",
+                                     ValueType::kVertex}})
+        .Output({"n", "m", "m_age", "m_sum", "m_copy"});
     Plan plan = b.Build();
     std::vector<std::string> baseline =
         SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);

@@ -74,12 +74,10 @@ TEST(VectorizedFilterTest, KernelMatchesGenericEvaluation) {
         .OrderBy({{"mid", true}})
         .Output({"mid", "len"});
     Plan plan = b.Build();
-    ExecOptions with, without;
-    without.vectorized_filter = false;
+    // kFlat evaluates the predicate through the interpreted BoundExpr.
     auto a = OrderedRows(
-        Executor(ExecMode::kFactorized, with).Run(plan, view).table);
-    auto c = OrderedRows(
-        Executor(ExecMode::kFactorized, without).Run(plan, view).table);
+        Executor(ExecMode::kFactorized).Run(plan, view).table);
+    auto c = OrderedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
     EXPECT_EQ(a, c) << "op " << static_cast<int>(op);
     EXPECT_GT(a.size(), 0u);
   }
