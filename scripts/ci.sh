@@ -25,7 +25,10 @@
 #      fuzz_plan_test), and a counted Expand's columnless f-Tree child
 #      (explain_test, fuzz_plan_test's and determinism_test's updated-
 #      graph suites); determinism_test and mvcc_test carry the executor
-#      label as well, so UBSan and ASan run them
+#      label as well, so UBSan and ASan run them, and so does
+#      traversal_oracle_test (executor + concurrency, so TSan too): the
+#      per-thread visited bitmap of multi-hop Expand and the per-thread
+#      person arrays of IC13/IC14, reused call after call
 #
 # The release flavor also compiles perfbench/ (it links service::Server and
 # reads its statistics), so a server-API change cannot break the end-to-end

@@ -2,8 +2,8 @@
 //
 // A MemoryBudget is the per-query half of the governor: the engine charges
 // it at its allocation choke points (operator-state growth, flatten output,
-// expansion scratch, WCOJ probe buffers, arena slabs) and the budget trips
-// a sticky `exceeded` flag once the per-query limit is crossed. Charging
+// expansion scratch, WCOJ probe buffers) and the budget trips a sticky
+// `exceeded` flag once the per-query limit is crossed. Charging
 // NEVER throws and never blocks — detection happens at the engine's
 // existing cooperative checkpoints (ThrowIfInterrupted), so an over-budget
 // query unwinds through exactly the same path as a cancelled or expired

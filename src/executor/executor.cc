@@ -28,40 +28,51 @@ const char* ExecModeName(ExecMode mode) {
 
 namespace {
 
-// Min-distance BFS with dedup; the source itself is never emitted
-// (variable-length expansion in the workload always excludes the start).
-// Templated over the container types so the hot path can run on
-// arena-backed scratch while one-off callers use plain std containers.
-template <typename Set, typename Vec>
-void BfsCollect(const GraphView& view, const std::vector<RelationId>& rels,
-                VertexId src, int min_hops, int max_hops, Set& visited,
-                Vec& frontier, Vec& next, AdjScratch* adj,
-                std::vector<std::pair<VertexId, int>>* out,
-                std::vector<int64_t>* stamps) {
-  visited.insert(src);
-  frontier.push_back(src);
-  for (int d = 1; d <= max_hops && !frontier.empty(); ++d) {
-    next.clear();
-    for (VertexId v : frontier) {
-      for (RelationId rel : rels) {
-        // One scratch suffices: the span is consumed before the next fetch.
-        AdjSpan span = view.Neighbors(rel, v, adj);
-        for (uint32_t i = 0; i < span.size; ++i) {
-          VertexId id = span.ids[i];
-          if (!visited.insert(id).second) continue;
-          next.push_back(id);
-          if (d >= min_hops) {
-            out->emplace_back(id, d);
-            if (stamps != nullptr) {
-              stamps->push_back(span.stamps == nullptr ? 0 : span.stamps[i]);
-            }
-          }
-        }
-      }
-    }
-    std::swap(frontier, next);
-  }
+// Per-thread working set of CollectNeighbors. `order` lists the vertices
+// the BFS has marked, in discovery order: each hop's frontier is a
+// contiguous range of it, and it names exactly the bits to clear.
+struct BfsState {
+  std::vector<uint64_t> visited;  // bitmap over vertex ids
+  std::vector<VertexId> order;
+  AdjScratch adj;  // decode buffer for compacted adjacency
+};
+
+BfsState& LocalBfsState() {
+  static thread_local BfsState state;
+  return state;
 }
+
+// Grows the bitmap to every id the graph has handed out (vertices created
+// since the thread's last BFS included) and, on scope exit, clears the
+// bits this BFS set, so an exception cannot leave stale marks behind.
+class VisitedScope {
+ public:
+  VisitedScope(BfsState& state, size_t num_vertices) : state_(state) {
+    const size_t words = (num_vertices + 63) / 64;
+    if (state_.visited.size() < words) state_.visited.resize(words, 0);
+  }
+  ~VisitedScope() {
+    // Every set bit is this BFS's, so zeroing the words they sit in is
+    // enough.
+    for (VertexId v : state_.order) state_.visited[v >> 6] = 0;
+    state_.order.clear();
+  }
+  VisitedScope(const VisitedScope&) = delete;
+  VisitedScope& operator=(const VisitedScope&) = delete;
+
+  // Marks `v` and queues it; false if it was already marked.
+  bool Mark(VertexId v) {
+    uint64_t& word = state_.visited[v >> 6];
+    const uint64_t bit = uint64_t{1} << (v & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    state_.order.push_back(v);
+    return true;
+  }
+
+ private:
+  BfsState& state_;
+};
 
 }  // namespace
 
@@ -70,13 +81,11 @@ void CollectNeighbors(const GraphView& view,
                       int min_hops, int max_hops, bool distinct,
                       bool exclude_start,
                       std::vector<std::pair<VertexId, int>>* out,
-                      std::vector<int64_t>* stamps,
-                      NeighborScratch* scratch) {
-  AdjScratch local_adj;
-  AdjScratch* adj = scratch != nullptr ? &scratch->adj : &local_adj;
+                      std::vector<int64_t>* stamps) {
+  BfsState& state = LocalBfsState();
   if (max_hops == 1 && !distinct) {
     for (RelationId rel : rels) {
-      AdjSpan span = view.Neighbors(rel, src, adj);
+      AdjSpan span = view.Neighbors(rel, src, &state.adj);
       for (uint32_t i = 0; i < span.size; ++i) {
         VertexId id = span.ids[i];
         if (exclude_start && id == src) continue;
@@ -88,19 +97,30 @@ void CollectNeighbors(const GraphView& view,
     }
     return;
   }
-  if (scratch != nullptr) {
-    scratch->visited.clear();
-    scratch->frontier.clear();
-    scratch->next.clear();
-    BfsCollect(view, rels, src, min_hops, max_hops, scratch->visited,
-               scratch->frontier, scratch->next, adj, out, stamps);
-    return;
+  // Min-distance BFS with dedup; the source itself is never emitted
+  // (variable-length expansion in the workload always excludes the start).
+  VisitedScope visited(state, view.graph().NumVerticesTotal());
+  visited.Mark(src);
+  size_t begin = 0;
+  for (int d = 1; d <= max_hops && begin < state.order.size(); ++d) {
+    const size_t end = state.order.size();
+    for (size_t f = begin; f < end; ++f) {
+      const VertexId v = state.order[f];
+      for (RelationId rel : rels) {
+        // One scratch suffices: the span is consumed before the next fetch.
+        AdjSpan span = view.Neighbors(rel, v, &state.adj);
+        for (uint32_t i = 0; i < span.size; ++i) {
+          VertexId id = span.ids[i];
+          if (!visited.Mark(id) || d < min_hops) continue;
+          out->emplace_back(id, d);
+          if (stamps != nullptr) {
+            stamps->push_back(span.stamps == nullptr ? 0 : span.stamps[i]);
+          }
+        }
+      }
+    }
+    begin = end;
   }
-  std::unordered_set<VertexId> visited;
-  std::vector<VertexId> frontier;
-  std::vector<VertexId> next;
-  BfsCollect(view, rels, src, min_hops, max_hops, visited, frontier, next,
-             adj, out, stamps);
 }
 
 namespace {

@@ -251,10 +251,6 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
       Part& part = parts[begin_row / kExpandMorselRows];
       BudgetTracker tracker(
           options.context != nullptr ? options.context->budget() : nullptr);
-      // BFS working set from the per-worker arena: multi-hop expansion of
-      // a morsel reuses one visited set / frontier, never touching the
-      // global allocator row-to-row.
-      NeighborScratch scratch(&TaskScheduler::LocalArena());
       std::vector<std::pair<VertexId, int>> nbrs;
       std::vector<int64_t> st;
       part.counts.reserve(end_row - begin_row);
@@ -272,7 +268,7 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
         st.clear();
         CollectNeighbors(view, op.rels, v, op.min_hops, op.max_hops,
                          op.distinct, op.exclude_start, &nbrs,
-                         want_stamp ? &st : nullptr, &scratch);
+                         want_stamp ? &st : nullptr);
         for (size_t i = 0; i < nbrs.size(); ++i) {
           part.ids.AppendVertex(nbrs[i].first);
           if (want_dist) part.dist.AppendInt(nbrs[i].second);

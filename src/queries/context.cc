@@ -14,6 +14,7 @@ LdbcContext LdbcContext::Resolve(const Graph& graph, const SnbSchema& s) {
   };
   using D = Direction;
   c.knows = rel(s.person, s.knows, s.person, D::kOut);
+  c.knows_in = rel(s.person, s.knows, s.person, D::kIn);
   c.post_has_creator = rel(s.post, s.has_creator, s.person, D::kOut);
   c.comment_has_creator = rel(s.comment, s.has_creator, s.person, D::kOut);
   c.person_posts = rel(s.person, s.has_creator, s.post, D::kIn);

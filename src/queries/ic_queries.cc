@@ -2,9 +2,7 @@
 // adapted to the synthetic schema; see README for the documented
 // simplifications).
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "queries/ldbc.h"
 
@@ -252,27 +250,103 @@ Plan IC12(const LdbcContext& c, const LdbcParams& p) {
 // paper treats traversal operators the same way; their intermediate data is
 // not factorizable and is excluded from Table 2 accounting). ---
 
-// Unweighted BFS distance between two persons (-1 if unreachable).
-int BfsDistance(const GraphView& view, RelationId knows, VertexId a,
-                VertexId b) {
-  if (a == b) return 0;
-  std::unordered_set<VertexId> seen = {a};
-  std::deque<std::pair<VertexId, int>> queue;
-  queue.emplace_back(a, 0);
-  AdjScratch adj;
-  while (!queue.empty()) {
-    auto [v, d] = queue.front();
-    queue.pop_front();
-    AdjSpan span = view.Neighbors(knows, v, &adj);
-    for (uint32_t i = 0; i < span.size; ++i) {
-      VertexId w = span.ids[i];
-      if (!seen.insert(w).second) continue;
-      if (w == b) return d + 1;
-      queue.emplace_back(w, d + 1);
-    }
+// Breadth-first search over `knows` from one person. Each reached
+// person's distance and BFS rank (discovery order) live in per-thread
+// arrays indexed by its dense offset (Graph::OffsetInLabel); persons
+// created after the bulk load sit in a small side map. The destructor
+// resets exactly the entries the search set, so the arrays are reused
+// query after query on one thread. Only persons may be looked up.
+class KnowsBfs {
+ public:
+  struct Mark {
+    int dist = -1;  // -1: not reached
+    uint32_t rank = 0;
+    int tag = -1;   // caller scratch; set it only on reached persons
+  };
+
+  KnowsBfs(const GraphView& view, const LdbcContext& ctx)
+      : view_(view),
+        ctx_(ctx),
+        bulk_(view.graph().bulk_vertex_count()),
+        s_(Local()) {
+    const size_t persons = view.graph().NumBulkVertices(ctx.s.person);
+    if (s_.dense.size() < persons) s_.dense.resize(persons);
   }
-  return -1;
-}
+  ~KnowsBfs() {
+    for (VertexId v : s_.order) {
+      if (v < bulk_) s_.dense[view_.graph().OffsetInLabel(v)] = Mark{};
+    }
+    s_.order.clear();
+    s_.side.clear();
+  }
+  KnowsBfs(const KnowsBfs&) = delete;
+  KnowsBfs& operator=(const KnowsBfs&) = delete;
+
+  // Hop distance from `src` to `dst`, -1 if unreachable. Stops at dst's
+  // discovery: every person closer than dst already has its final
+  // distance and rank, which is all the shortest paths need.
+  int Run(VertexId src, VertexId dst) {
+    At(src).dist = 0;
+    s_.order.push_back(src);
+    if (src == dst) return 0;
+    for (size_t i = 0; i < s_.order.size(); ++i) {
+      const VertexId v = s_.order[i];
+      const int d = At(v).dist + 1;
+      AdjSpan span = view_.Neighbors(ctx_.knows, v, &s_.adj);
+      for (uint32_t j = 0; j < span.size; ++j) {
+        const VertexId w = span.ids[j];
+        Mark& m = At(w);
+        if (m.dist >= 0) continue;
+        m.dist = d;
+        m.rank = static_cast<uint32_t>(s_.order.size());
+        s_.order.push_back(w);
+        if (w == dst) return d;
+      }
+    }
+    return -1;
+  }
+
+  // The mark of `v`; null for a post-bulk person the search never reached.
+  Mark* Find(VertexId v) {
+    if (v < bulk_) return &s_.dense[view_.graph().OffsetInLabel(v)];
+    auto it = s_.side.find(v);
+    return it == s_.side.end() ? nullptr : &it->second;
+  }
+
+  // Predecessors of a reached `v` other than the source on its shortest
+  // paths: the in-neighbours one hop closer, in BFS-rank order — the
+  // order in which the search expanded them toward `v`.
+  void Preds(VertexId v, std::vector<std::pair<uint32_t, VertexId>>* out) {
+    out->clear();
+    const int d = Find(v)->dist - 1;
+    AdjSpan span = view_.Neighbors(ctx_.knows_in, v, &s_.adj);
+    for (uint32_t i = 0; i < span.size; ++i) {
+      const Mark* m = Find(span.ids[i]);
+      if (m != nullptr && m->dist == d) out->emplace_back(m->rank, span.ids[i]);
+    }
+    std::sort(out->begin(), out->end());
+  }
+
+ private:
+  struct State {
+    std::vector<Mark> dense;  // by OffsetInLabel of bulk persons
+    std::unordered_map<VertexId, Mark> side;
+    std::vector<VertexId> order;  // reached persons by rank: the BFS queue
+    AdjScratch adj;
+  };
+  static State& Local() {
+    static thread_local State state;
+    return state;
+  }
+  Mark& At(VertexId v) {
+    return v < bulk_ ? s_.dense[view_.graph().OffsetInLabel(v)] : s_.side[v];
+  }
+
+  const GraphView& view_;
+  const LdbcContext& ctx_;
+  const size_t bulk_;
+  State& s_;
+};
 
 Plan IC13(const LdbcContext& c, const LdbcParams& p) {
   PlanBuilder b("IC13");
@@ -287,7 +361,7 @@ Plan IC13(const LdbcContext& c, const LdbcParams& p) {
     VertexId bb = view.FindByExtId(ctx.s.person, p2);
     int d = (a == kInvalidVertex || bb == kInvalidVertex)
                 ? -1
-                : BfsDistance(view, ctx.knows, a, bb);
+                : KnowsBfs(view, ctx).Run(a, bb);
     out.AppendRow({Value::Int(d)});
     return out;
   });
@@ -314,98 +388,94 @@ Plan IC14(const LdbcContext& c, const LdbcParams& p) {
     VertexId dst = view.FindByExtId(ctx.s.person, p2);
     if (src == kInvalidVertex || dst == kInvalidVertex) return out;
 
-    // BFS layering with multi-parent tracking.
-    std::unordered_map<VertexId, int> dist;
-    std::unordered_map<VertexId, std::vector<VertexId>> preds;
-    std::deque<VertexId> queue{src};
-    dist[src] = 0;
-    int found_at = -1;
-    AdjScratch adj;
-    while (!queue.empty()) {
-      VertexId v = queue.front();
-      queue.pop_front();
-      int d = dist[v];
-      if (found_at >= 0 && d >= found_at) break;
-      AdjSpan span = view.Neighbors(ctx.knows, v, &adj);
-      for (uint32_t i = 0; i < span.size; ++i) {
-        VertexId w = span.ids[i];
-        auto it = dist.find(w);
-        if (it == dist.end()) {
-          dist[w] = d + 1;
-          preds[w].push_back(v);
-          if (w == dst) found_at = d + 1;
-          queue.push_back(w);
-        } else if (it->second == d + 1) {
-          preds[w].push_back(v);
-        }
-      }
-    }
-    if (dist.count(dst) == 0) return out;
+    KnowsBfs bfs(view, ctx);
+    if (bfs.Run(src, dst) < 0) return out;
 
-    // Enumerate shortest paths (DFS over preds), capped.
+    // Enumerate shortest paths depth-first from dst over predecessors,
+    // capped. preds[i] lists cur[i]'s predecessors, next[i] the one to try.
     std::vector<std::vector<VertexId>> paths;
-    std::vector<VertexId> cur{dst};
-    std::function<void(VertexId)> walk = [&](VertexId v) {
-      if (paths.size() >= kMaxPaths) return;
+    std::vector<VertexId> cur;
+    std::vector<std::vector<std::pair<uint32_t, VertexId>>> preds;
+    std::vector<size_t> next;
+    auto push = [&](VertexId v) {
+      cur.push_back(v);
+      preds.emplace_back();
+      next.push_back(0);
       if (v == src) {
-        std::vector<VertexId> path(cur.rbegin(), cur.rend());
-        paths.push_back(std::move(path));
-        return;
-      }
-      for (VertexId u : preds[v]) {
-        cur.push_back(u);
-        walk(u);
-        cur.pop_back();
+        paths.emplace_back(cur.rbegin(), cur.rend());
+      } else {
+        bfs.Preds(v, &preds.back());
       }
     };
-    walk(dst);
+    push(dst);
+    while (!cur.empty() && paths.size() < kMaxPaths) {
+      if (next.back() < preds.back().size()) {
+        push(preds.back()[next.back()++].second);
+      } else {
+        cur.pop_back();
+        preds.pop_back();
+        next.pop_back();
+      }
+    }
 
-    // Interaction weight of an adjacent pair, cached. Three nesting levels
-    // of live spans (comments -> reply chain -> creator), so each level
-    // gets its own decode scratch; `rp` is drained before `rc` is fetched,
-    // so the middle level shares one.
-    std::unordered_map<uint64_t, double> pair_weight;
+    // Reply weight of each person x toward each path neighbour y: one pass
+    // over x's comments adds 1.0 per reply to a post of y and 0.5 per
+    // reply to a comment of y. A pair weighs arc(x, y) + arc(y, x); the
+    // weights are multiples of 0.5, so every sum is exact. While x is
+    // scanned, each y's tag holds the index of arc (x, y).
+    std::vector<std::pair<VertexId, VertexId>> arcs;
+    for (const auto& path : paths) {
+      for (size_t i = 0; i + 1 < path.size(); ++i) {
+        arcs.emplace_back(path[i], path[i + 1]);
+        arcs.emplace_back(path[i + 1], path[i]);
+      }
+    }
+    std::sort(arcs.begin(), arcs.end());
+    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+    std::vector<double> arc_weight(arcs.size(), 0);
+    // Three nesting levels of live spans (comments -> reply targets ->
+    // creator), so each level gets its own decode scratch; the post
+    // targets are drained before the comment targets are fetched, so the
+    // middle level shares one.
     AdjScratch adj_comments, adj_reply, adj_creator;
-    auto weight_of = [&](VertexId a, VertexId bb) {
-      uint64_t key = a < bb ? (a << 32 | bb) : (bb << 32 | a);
-      auto it = pair_weight.find(key);
-      if (it != pair_weight.end()) return it->second;
-      double w = 0;
-      for (auto [x, y] : {std::pair<VertexId, VertexId>{a, bb},
-                          std::pair<VertexId, VertexId>{bb, a}}) {
-        AdjSpan comments =
-            view.Neighbors(ctx.person_comments, x, &adj_comments);
-        for (uint32_t i = 0; i < comments.size; ++i) {
-          VertexId cmt = comments.ids[i];
-          AdjSpan rp =
-              view.Neighbors(ctx.comment_reply_of_post, cmt, &adj_reply);
-          for (uint32_t j = 0; j < rp.size; ++j) {
-            AdjSpan creator =
-                view.Neighbors(ctx.post_has_creator, rp.ids[j], &adj_creator);
-            for (uint32_t k = 0; k < creator.size; ++k) {
-              if (creator.ids[k] == y) w += 1.0;
-            }
-          }
-          AdjSpan rc =
-              view.Neighbors(ctx.comment_reply_of_comment, cmt, &adj_reply);
-          for (uint32_t j = 0; j < rc.size; ++j) {
-            AdjSpan creator = view.Neighbors(ctx.comment_has_creator,
-                                             rc.ids[j], &adj_creator);
-            for (uint32_t k = 0; k < creator.size; ++k) {
-              if (creator.ids[k] == y) w += 0.5;
-            }
-          }
+    auto add_replies = [&](AdjSpan targets, RelationId creator_rel,
+                           double w) {
+      for (uint32_t j = 0; j < targets.size; ++j) {
+        AdjSpan creator =
+            view.Neighbors(creator_rel, targets.ids[j], &adj_creator);
+        for (uint32_t k = 0; k < creator.size; ++k) {
+          const KnowsBfs::Mark* m = bfs.Find(creator.ids[k]);
+          if (m != nullptr && m->tag >= 0) arc_weight[m->tag] += w;
         }
       }
-      pair_weight[key] = w;
-      return w;
+    };
+    for (size_t lo = 0, hi = 0; lo < arcs.size(); lo = hi) {
+      const VertexId x = arcs[lo].first;
+      for (hi = lo; hi < arcs.size() && arcs[hi].first == x; ++hi) {
+        bfs.Find(arcs[hi].second)->tag = static_cast<int>(hi);
+      }
+      AdjSpan comments = view.Neighbors(ctx.person_comments, x, &adj_comments);
+      for (uint32_t i = 0; i < comments.size; ++i) {
+        const VertexId cmt = comments.ids[i];
+        add_replies(view.Neighbors(ctx.comment_reply_of_post, cmt, &adj_reply),
+                    ctx.post_has_creator, 1.0);
+        add_replies(
+            view.Neighbors(ctx.comment_reply_of_comment, cmt, &adj_reply),
+            ctx.comment_has_creator, 0.5);
+      }
+      for (size_t k = lo; k < hi; ++k) bfs.Find(arcs[k].second)->tag = -1;
+    }
+    auto arc = [&](VertexId x, VertexId y) {
+      return arc_weight[std::lower_bound(arcs.begin(), arcs.end(),
+                                         std::make_pair(x, y)) -
+                        arcs.begin()];
     };
 
     std::vector<std::pair<double, int64_t>> rows;
     for (const auto& path : paths) {
       double w = 0;
       for (size_t i = 0; i + 1 < path.size(); ++i) {
-        w += weight_of(path[i], path[i + 1]);
+        w += arc(path[i], path[i + 1]) + arc(path[i + 1], path[i]);
       }
       rows.emplace_back(w, static_cast<int64_t>(path.size() - 1));
     }

@@ -27,6 +27,7 @@ struct LdbcContext {
   SnbSchema s;
 
   RelationId knows;                    // PERSON -KNOWS-> PERSON
+  RelationId knows_in;                 // PERSON <-KNOWS- PERSON
   RelationId post_has_creator;         // POST -> PERSON
   RelationId comment_has_creator;      // COMMENT -> PERSON
   RelationId person_posts;             // PERSON <- POST

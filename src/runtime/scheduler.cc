@@ -10,24 +10,6 @@ unsigned HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-namespace {
-
-// Depth of nested parallel regions on this thread; the scratch arena is
-// reset when the outermost region completes.
-thread_local int parallel_depth = 0;
-
-struct ArenaScope {
-  ArenaScope() { ++parallel_depth; }
-  ~ArenaScope() {
-    if (--parallel_depth == 0) {
-      Arena& arena = TaskScheduler::LocalArena();
-      if (arena.bytes_reserved() > 0) arena.Reset();
-    }
-  }
-};
-
-}  // namespace
-
 TaskScheduler::TaskScheduler(int num_workers) : slots_(kMaxWorkers) {
   if (num_workers <= 0) num_workers = static_cast<int>(HardwareThreads());
   EnsureWorkers(num_workers);
@@ -40,11 +22,6 @@ TaskScheduler& TaskScheduler::Global() {
   // work during teardown.
   static TaskScheduler* global = new TaskScheduler();
   return *global;
-}
-
-Arena& TaskScheduler::LocalArena() {
-  static thread_local Arena arena(1 << 18);
-  return arena;
 }
 
 void TaskScheduler::EnsureWorkers(int n) {
@@ -191,7 +168,6 @@ void TaskScheduler::ParallelFor(
       {bound, num_morsels, static_cast<size_t>(num_workers()) + 1});
   if (parallelism <= 1) {
     // Sequential path, same chunk boundaries as the parallel one.
-    ArenaScope scope;
     for (size_t b = begin; b < end; b += morsel_size) {
       ThrowIfInterrupted(context);
       body(b, std::min(end, b + morsel_size));
@@ -201,7 +177,6 @@ void TaskScheduler::ParallelFor(
 
   std::atomic<size_t> cursor{begin};
   auto claim = [&cursor, &body, morsel_size, end, context] {
-    ArenaScope scope;
     for (;;) {
       ThrowIfInterrupted(context);
       size_t b = cursor.fetch_add(morsel_size, std::memory_order_relaxed);

@@ -19,11 +19,9 @@
 //     then sleeps until in-flight tasks finish. This also makes nested
 //     ParallelFor deadlock-free: a waiter can always drain its own work.
 //
-// Per-worker scratch arenas: LocalArena() hands each thread a bump-pointer
-// arena for hot-path scratch (e.g. BFS visited sets inside Expand morsels),
-// keeping transient allocations off the contended global allocator. The
-// arena is reset when the outermost parallel region on the thread
-// completes; scratch must not outlive the ParallelFor body that made it.
+// Hot-path scratch lives with its user, not here: the BFS behind
+// multi-hop Expand keeps a thread_local visited bitmap and queue
+// (executor.cc), cleared by the call that set it.
 #ifndef GES_RUNTIME_SCHEDULER_H_
 #define GES_RUNTIME_SCHEDULER_H_
 
@@ -37,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.h"
 #include "runtime/query_context.h"
 
 namespace ges {
@@ -109,10 +106,6 @@ class TaskScheduler {
                    int max_workers,
                    const std::function<void(size_t, size_t)>& body,
                    const QueryContext* context = nullptr);
-
-  // The calling thread's scratch arena (see file comment for the reset
-  // contract).
-  static Arena& LocalArena();
 
  private:
   friend class TaskGroup;

@@ -247,7 +247,7 @@ void Graph::ScanLabel(LabelId label, Version snapshot,
 }
 
 size_t Graph::NumVertices(LabelId label, Version snapshot) const {
-  size_t n = label < bulk_by_label_.size() ? bulk_by_label_[label].size() : 0;
+  size_t n = NumBulkVertices(label);
   if (!new_vertices_.empty()) {
     n += new_vertices_.CountVisible(label, snapshot);
   }

@@ -417,6 +417,10 @@ class Graph {
   void ScanLabel(LabelId label, Version snapshot,
                  std::vector<VertexId>* out) const;
   size_t NumVertices(LabelId label, Version snapshot) const;
+  // Bulk-loaded vertices of `label`: the range of their OffsetInLabel.
+  size_t NumBulkVertices(LabelId label) const {
+    return label < bulk_by_label_.size() ? bulk_by_label_[label].size() : 0;
+  }
   size_t NumVerticesTotal() const {
     return next_vertex_id_.load(std::memory_order_acquire);
   }

@@ -104,11 +104,12 @@ TEST(ParallelForCancellationTest, MidRunCancelStopsEarly) {
 }
 
 // The deadline tests need a query that genuinely outlasts its deadline.
-// On the default sf=0.01 fixture the knows graph is so small that the
-// stress BFS saturates in ~35 ms, so they use a larger graph (still ~100 ms
-// to generate) where the same plan runs for several hundred milliseconds.
+// On small fixtures the knows graph saturates the stress BFS quickly (with
+// the bitmap-backed BFS, the 4-hop plan takes ~130 ms at sf=0.05), so they
+// use a larger graph where the same plan runs for several hundred
+// milliseconds.
 testutil::SnbFixture& StressFixture() {
-  static testutil::SnbFixture* fx = new testutil::SnbFixture(0.05, 42);
+  static testutil::SnbFixture* fx = new testutil::SnbFixture(0.1, 42);
   return *fx;
 }
 

@@ -1,9 +1,6 @@
-// Unit tests for the common runtime: Value, ValueVector, Arena, Rng, Zipf.
+// Unit tests for the common runtime: Value, ValueVector, Rng, Zipf.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "common/arena.h"
 #include "common/random.h"
 #include "common/value.h"
 
@@ -96,33 +93,6 @@ TEST(ValueVectorTest, MemoryBytesGrowsWithContent) {
   size_t empty = v.MemoryBytes();
   for (int i = 0; i < 1000; ++i) v.AppendInt(i);
   EXPECT_GT(v.MemoryBytes(), empty + 1000 * sizeof(int64_t) - 1);
-}
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(1024);
-  std::set<void*> seen;
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.Allocate(96, 16);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u);
-    EXPECT_TRUE(seen.insert(p).second);
-  }
-  EXPECT_GE(arena.bytes_allocated(), 100u * 96);
-}
-
-TEST(ArenaTest, LargeAllocationGetsOwnSlab) {
-  Arena arena(64);
-  void* p = arena.Allocate(10000);
-  ASSERT_NE(p, nullptr);
-  // Writable across the whole range.
-  memset(p, 0xab, 10000);
-}
-
-TEST(ArenaTest, ResetReleasesEverything) {
-  Arena arena(1024);
-  arena.Allocate(100);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
 }
 
 TEST(RngTest, DeterministicForSeed) {

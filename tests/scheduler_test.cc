@@ -1,5 +1,5 @@
 // TaskScheduler unit tests: morsel coverage, nesting, exception
-// propagation, shutdown semantics, and the per-thread scratch arena.
+// propagation and shutdown semantics.
 #include "runtime/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -145,21 +145,6 @@ TEST(ShutdownTest, PostShutdownSubmitRunsInline) {
   sched.ParallelFor(0, 100, 10, 4,
                     [&](size_t lo, size_t hi) { covered.fetch_add(hi - lo); });
   EXPECT_EQ(covered.load(), 100u);
-}
-
-TEST(LocalArenaTest, AllocatesAndResetsAfterParallelRegion) {
-  TaskScheduler& sched = TaskScheduler::Global();
-  std::atomic<int> nonnull{0};
-  sched.ParallelFor(0, 16, 1, 4, [&](size_t, size_t) {
-    Arena& arena = TaskScheduler::LocalArena();
-    int* p = arena.AllocateArray<int>(1024);
-    for (int i = 0; i < 1024; ++i) p[i] = i;
-    if (p != nullptr && p[1023] == 1023) nonnull.fetch_add(1);
-  });
-  EXPECT_EQ(nonnull.load(), 16);
-  // Back on the caller thread, outside any parallel region, the caller's
-  // arena has been reset.
-  EXPECT_EQ(TaskScheduler::LocalArena().bytes_allocated(), 0u);
 }
 
 }  // namespace
