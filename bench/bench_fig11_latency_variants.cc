@@ -15,7 +15,9 @@ using namespace ges::bench;
 int main(int argc, char** argv) {
   std::printf("== Figure 11: average query latency, GES vs GES_f vs GES_f* "
               "==\n");
-  int params = EnvInt("GES_PARAMS", 15);
+  // 60 draws per query: at 15, run-to-run noise on a shared box hid a
+  // 2x change in IC5.
+  int params = EnvInt("GES_PARAMS", 60);
   BenchJsonReport json("fig11_latency_variants");
   json.AddScalar("params", params);
   for (double sf : EnvSfList()) {

@@ -28,7 +28,11 @@
 #      label as well, so UBSan and ASan run them, and so does
 #      traversal_oracle_test (executor + concurrency, so TSan too): the
 #      per-thread visited bitmap of multi-hop Expand and the per-thread
-#      person arrays of IC13/IC14, reused call after call
+#      person arrays of IC13/IC14, reused call after call, and the
+#      per-thread vertex slot array of a vertex-keyed AggProjectTop, with
+#      the dead-row ranges of its f-Tree Expands (optimizer_test,
+#      explain_test, ftree_property_test, fuzz_plan_test's regrouping
+#      plans)
 #
 # The release flavor also compiles perfbench/ (it links service::Server and
 # reads its statistics), so a server-API change cannot break the end-to-end

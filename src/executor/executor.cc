@@ -178,6 +178,19 @@ size_t GroupedAggregator::NewGroup() {
   return groups_++;
 }
 
+void GroupedAggregator::Reserve(size_t groups) {
+  assert(groups_ == 0);
+  states_.reserve(groups * aggs_.size());
+  if (!typed_) {
+    index_.reserve(groups);
+    return;
+  }
+  key_words_.reserve(groups * words_.size());
+  size_t slots = slots_.size();
+  while (slots < 2 * groups) slots *= 2;
+  slots_.assign(slots, Slot{});
+}
+
 size_t GroupedAggregator::InsertTyped(size_t slot) {
   const size_t nk = words_.size();
   key_words_.insert(key_words_.end(), words_.begin(), words_.end());

@@ -168,6 +168,10 @@ class GroupedAggregator {
     Fold(TypedGroup(), multiplicity);
   }
 
+  // Sizes the index and the states for `groups` groups before the first
+  // row, so a caller that knows an upper bound pays no regrowth.
+  void Reserve(size_t groups);
+
   FlatBlock Finish();
 
  private:

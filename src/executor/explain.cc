@@ -87,6 +87,7 @@ std::string DescribeOp(const PlanOp& op) {
       }
       if (op.distinct) os << " distinct";
       if (op.counted) os << " counted";
+      if (op.deferred) os << " deferred";
       if (op.type == OpType::kExpandFiltered) {
         os << " fused-filter(" << op.other_column << ")";
       }
@@ -95,6 +96,7 @@ std::string DescribeOp(const PlanOp& op) {
     case OpType::kGetProperty:
       os << " " << op.in_column << ".#" << op.property << " -> "
          << op.out_column;
+      if (op.deferred) os << " deferred";
       break;
     case OpType::kFilter:
       os << " " << op.predicate->ToString();
@@ -123,6 +125,7 @@ std::string DescribeOp(const PlanOp& op) {
         os << "]";
       }
       DescribeSort(op, os);
+      if (!op.group_vertex.empty()) os << " by-vertex " << op.group_vertex;
       break;
     }
     case OpType::kLimit:

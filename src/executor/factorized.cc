@@ -156,16 +156,19 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
   int src_col = src->block.schema().IndexOf(op.in_column);
   size_t rows = src->block.NumRows();
 
+  // An invalid or dead source row (FTreeNode::RowLive) keeps an empty
+  // range: it joins no tuple, so nothing is expanded for it.
+  const size_t kids = src->children.size();
   FTreeNode* child = tree.AddChild(src);
   child->parent_index.assign(rows, IndexRange{0, 0});
 
   if (op.counted) {
-    // Counted Expand: a valid source row weighs its degree and lists no
+    // Counted Expand: a live source row weighs its degree and lists no
     // neighbor. Degree never decodes a compacted level, and a row of degree
     // 0 still drops out of the join through its empty range.
     uint64_t off = 0;
     for (size_t r = 0; r < rows; ++r) {
-      if (!src->RowValid(r)) continue;
+      if (!src->RowLive(r, kids)) continue;
       const auto v = static_cast<VertexId>(src->block.WordAt(r, src_col));
       uint64_t begin = off;
       for (RelationId rel : op.rels) off += view.Degree(rel, v);
@@ -179,7 +182,7 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
     AdjScratch adj;
     uint64_t off = 0;
     for (size_t r = 0; r < rows; ++r) {
-      if (!src->RowValid(r)) continue;
+      if (!src->RowLive(r, kids)) continue;
       VertexId v = src->block.GetValue(r, src_col).AsVertex();
       uint64_t begin = off;
       for (RelationId rel : op.rels) {
@@ -259,7 +262,7 @@ void FactExpand(FactState* state, const PlanOp& op, const GraphView& view,
         // vertices can run for milliseconds, far past the per-morsel poll.
         tracker.Update(part_bytes(part));
         ThrowIfInterrupted(options.context);
-        if (!src->RowValid(r)) {
+        if (!src->RowLive(r, kids)) {
           part.counts.push_back(0);
           continue;
         }
@@ -378,6 +381,7 @@ bool TryFactIntersectExpand(FactState* state, const PlanOp& op,
     }
   }
 
+  const size_t kids = src->children.size();  // dead rows: as in FactExpand
   FTreeNode* child = tree.AddChild(src);
   child->parent_index.assign(rows, IndexRange{0, 0});
 
@@ -407,7 +411,7 @@ bool TryFactIntersectExpand(FactState* state, const PlanOp& op,
       // Per-row checkpoint: a high-degree driver can gallop for a while.
       tracker.Update(part_bytes(part));
       ThrowIfInterrupted(options.context);
-      if (!src->RowValid(r)) {
+      if (!src->RowLive(r, kids)) {
         part.counts.push_back(0);
         continue;
       }
@@ -464,6 +468,7 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
   int src_col = src->block.schema().IndexOf(op.in_column);
   size_t rows = src->block.NumRows();
 
+  const size_t kids = src->children.size();  // dead rows: as in FactExpand
   FTreeNode* child = tree.AddChild(src);
   child->parent_index.assign(rows, IndexRange{0, 0});
 
@@ -492,7 +497,7 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
       cand_tracker.Update(cand.capacity() * sizeof(VertexId));
       ThrowIfInterrupted(options.context);
     }
-    if (!src->RowValid(r)) continue;
+    if (!src->RowLive(r, kids)) continue;
     VertexId v = src->block.GetValue(r, src_col).AsVertex();
     uint64_t begin = cand.size();
     for (RelationId rel : op.rels) {
@@ -559,25 +564,28 @@ void FactGetProperty(FactState* state, const PlanOp& op,
   int col = node->block.schema().IndexOf(op.in_column);
   size_t rows = node->block.NumRows();
   ValueVector out(op.property_type);
-  out.Reserve(rows);
+  // A string column takes its representation (dictionary codes) in its
+  // first gather, so only other types are sized here.
+  if (op.property_type != ValueType::kString) out.Reserve(rows);
   // Batched gather: the MVCC overlay and the string dictionary are
   // resolved once per batch, base columns are copied slice-wise
   // (Graph::GatherProperties). Deselected rows receive a placeholder to
-  // keep row alignment (they are never enumerated). Lazy blocks gather
-  // straight from the adjacency segments — the ids are never materialized.
+  // keep row alignment (they are never enumerated). A lazy head is never
+  // materialized: its ids are copied 1024 at a time from the adjacency
+  // segments, one gather per chunk rather than per (often tiny) segment.
+  // Vertex columns store int64 physically; uint64 access to the same
+  // array is the sanctioned signed/unsigned aliasing case.
   const uint8_t* sel = node->sel.empty() ? nullptr : node->sel.data();
   if (node->block.lazy() && col == 0) {
-    uint64_t row = 0;
-    for (size_t seg = 0; seg < node->block.NumSegments(); ++seg) {
-      const AdjSpan& s = node->block.Segment(seg);
-      view.GatherProperties(s.ids, s.size,
-                            sel == nullptr ? nullptr : sel + row, op.property,
+    int64_t chunk[1024];
+    for (uint64_t lo = 0; lo < rows; lo += 1024) {
+      const uint64_t hi = std::min<uint64_t>(rows, lo + 1024);
+      node->block.CopyHeadIds(lo, hi, chunk);
+      view.GatherProperties(reinterpret_cast<const VertexId*>(chunk), hi - lo,
+                            sel == nullptr ? nullptr : sel + lo, op.property,
                             &out);
-      row += s.size;
     }
   } else {
-    // Vertex columns store int64 physically; uint64 access to the same
-    // array is the sanctioned signed/unsigned aliasing case.
     const ValueVector& ids = node->block.Column(col);
     view.GatherProperties(reinterpret_cast<const VertexId*>(ids.ints_data()),
                           rows, sel, op.property, &out);
@@ -687,6 +695,122 @@ bool TryFactAggregate(const FTree& tree, const std::vector<std::string>& group_b
   }
   *out = agg.Finish();
   return true;
+}
+
+// AggProjectTop by its group vertex v (PlanOp::group_vertex): sums the
+// tuple counts of v's node per distinct vertex, applies the deferred ops
+// once per vertex (a counted Expand multiplies by the degree, a
+// GetProperty is one gather), and folds each vertex into the groups once
+// with its summed multiplicity. Vertices come in the order of their first
+// row with a tuple, so groups keep the per-row path's first-encounter
+// order.
+FlatBlock VertexKeyedAggregate(const FTree& tree, const PlanOp& op,
+                               const std::vector<const PlanOp*>& deferred,
+                               const GraphView& view,
+                               const ExecOptions& options) {
+  const FTreeNode* u = tree.NodeOfColumn(op.group_vertex);
+  assert(u != nullptr);
+  const int vcol = u->block.schema().IndexOf(op.group_vertex);
+  const std::vector<uint64_t> counts = tree.TupleCountsForNode(u);
+  std::vector<VertexId> ids;
+  std::vector<uint64_t> first_row;
+  std::vector<uint64_t> weight;
+  {
+    // Per-thread, indexed by vertex id: 1 + the vertex's index in `ids`,
+    // 0 for a vertex not seen yet.
+    static thread_local std::vector<uint32_t> slot;
+    const size_t n = view.graph().NumVerticesTotal();
+    if (slot.size() < n) slot.resize(n, 0);
+    // Clears the slots of the vertices seen, on return or throw.
+    struct Reset {
+      std::vector<uint32_t>& slot;
+      const std::vector<VertexId>& ids;
+      ~Reset() {
+        for (VertexId v : ids) slot[v] = 0;
+      }
+    } reset{slot, ids};
+    // v's ids, 256 rows at a time: a lazy head is copied from its
+    // segments a run at a time instead of looked up row by row.
+    const bool lazy = u->block.lazy() && vcol == 0;
+    const int64_t* words = lazy ? nullptr : u->block.Column(vcol).ints_data();
+    int64_t chunk[256];
+    for (size_t lo = 0; lo < counts.size(); lo += 256) {
+      ThrowIfInterrupted(options.context);
+      const size_t hi = std::min(counts.size(), lo + 256);
+      if (lazy) u->block.CopyHeadIds(lo, hi, chunk);
+      const int64_t* w = lazy ? chunk : words + lo;
+      for (size_t r = lo; r < hi; ++r) {
+        if (counts[r] == 0) continue;
+        const auto v = static_cast<VertexId>(w[r - lo]);
+        uint32_t& s = slot[v];
+        if (s == 0) {
+          ids.push_back(v);
+          first_row.push_back(r);
+          weight.push_back(counts[r]);
+          s = static_cast<uint32_t>(ids.size());
+        } else {
+          weight[s - 1] += counts[r];
+        }
+      }
+    }
+  }
+  // A deferred counted Expand weighs each vertex by its degree; a vertex
+  // it gives no neighbor leaves every group.
+  size_t kept = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (const PlanOp* d : deferred) {
+      if (d->type != OpType::kExpand) continue;
+      uint64_t degree = 0;
+      for (RelationId rel : d->rels) degree += view.Degree(rel, ids[i]);
+      weight[i] *= degree;
+    }
+    if (weight[i] == 0) continue;
+    ids[kept] = ids[i];
+    first_row[kept] = first_row[i];
+    weight[kept] = weight[i];
+    ++kept;
+  }
+  ids.resize(kept);
+
+  // One row per kept vertex, holding the columns the aggregate reads.
+  FBlock rows;
+  for (const std::string& c : ConsumedColumns(op)) {
+    if (rows.schema().IndexOf(c) >= 0) continue;  // a key that is an input
+    auto gets = [&c](const PlanOp* d) {
+      return d->type == OpType::kGetProperty && d->out_column == c;
+    };
+    auto d = std::find_if(deferred.begin(), deferred.end(), gets);
+    if (c == op.group_vertex) {
+      ValueVector col(ValueType::kVertex);
+      col.Reserve(kept);
+      for (VertexId v : ids) col.AppendVertex(v);
+      rows.AddColumn(c, std::move(col));
+    } else if (d != deferred.end()) {
+      ValueVector col((*d)->property_type);
+      view.GatherProperties(ids.data(), kept, nullptr, (*d)->property, &col);
+      rows.AddColumn(c, std::move(col));
+    } else {
+      // A key or input read on the tree lives in v's node, and a vertex's
+      // rows all hold the same value: read its first.
+      const int ci = u->block.schema().IndexOf(c);
+      assert(ci >= 0 && tree.NodeOfColumn(c) == u);
+      const ValueVector& src = u->block.Column(ci);
+      ValueVector col(src.type());
+      if (src.dict_encoded()) col.InitDict(src.dict());
+      col.Reserve(kept);
+      for (size_t i = 0; i < kept; ++i) col.AppendFrom(src, first_row[i]);
+      rows.AddColumn(c, std::move(col));
+    }
+  }
+
+  internal::GroupedAggregator agg(rows.schema(), op.group_by, op.aggs);
+  agg.Reserve(kept);
+  for (size_t i = 0; i < kept; ++i) {
+    agg.AddTypedRow([&](int c) { return rows.WordAt(i, c); },
+                    [&](int c) { return rows.GetValue(i, c); },
+                    static_cast<int64_t>(weight[i]));
+  }
+  return agg.Finish();
 }
 
 // Streaming aggregation over the enumerator: used by AggProjectTop when
@@ -820,6 +944,8 @@ QueryResult Executor::RunFactorized(const Plan& plan,
       options_.context != nullptr ? options_.context->budget() : nullptr;
   BudgetTracker tracker(budget);
 
+  // Deferred ops skipped on the tree, for the AggProjectTop after them.
+  std::vector<const PlanOp*> deferred;
   for (const PlanOp& op : plan.ops) {
     ThrowIfInterrupted(options_.context);
     Timer t;
@@ -827,6 +953,8 @@ QueryResult Executor::RunFactorized(const Plan& plan,
     if (!state.is_tree()) {
       state.flat = ApplyFlatOp(std::move(state.flat), op, view, &istats,
                                options_.context);
+    } else if (op.deferred) {
+      deferred.push_back(&op);
     } else {
       switch (op.type) {
         case OpType::kNodeByIdSeek:
@@ -891,7 +1019,11 @@ QueryResult Executor::RunFactorized(const Plan& plan,
           break;
         case OpType::kAggProjectTop: {
           FlatBlock out;
-          if (!TryFactAggregate(*state.tree, op.group_by, op.aggs, &out)) {
+          if (!op.group_vertex.empty()) {
+            out = VertexKeyedAggregate(*state.tree, op, deferred, view,
+                                       options_);
+          } else if (!TryFactAggregate(*state.tree, op.group_by, op.aggs,
+                                       &out)) {
             out = StreamingAggregate(*state.tree, op.group_by, op.aggs);
           }
           if (!op.computed.empty() || !op.selections.empty()) {

@@ -47,6 +47,18 @@ class FTreeNode {
   std::vector<IndexRange> parent_index;
 
   bool RowValid(uint64_t row) const { return sel.empty() || sel[row] != 0; }
+  // True unless row `row` is invalid or dead: one of this node's first
+  // `kids` children lists nothing for it, and a tuple takes one row from
+  // every child. An Expand asks before it adds its child, which starts with
+  // all-empty ranges, and gives a dead row an empty range too.
+  bool RowLive(uint64_t row, size_t kids) const {
+    if (!RowValid(row)) return false;
+    for (size_t k = 0; k < kids; ++k) {
+      const IndexRange& r = children[k]->parent_index[row];
+      if (r.begin == r.end) return false;
+    }
+    return true;
+  }
   // Lazily materializes the selection vector for writing.
   std::vector<uint8_t>& MutableSel() {
     if (sel.empty()) sel.assign(block.NumRows(), 1);

@@ -204,6 +204,97 @@ void MarkCountedExpands(Plan* plan) {
   }
 }
 
+// The vertex column a column is a function of (a vertex column is one of
+// itself), and the column's type.
+struct VertexSource {
+  std::string vertex;
+  ValueType type;
+};
+
+// Sets group_vertex on `agg` (plan->ops[at]) when all its group keys and
+// aggregate inputs are functions of one vertex column v, then marks
+// deferred the run of ops just before it that are counted Expands from v
+// or GetPropertys from v. Nothing but the AggProjectTop can read such a
+// GetProperty's output: every op between them is in the run and reads
+// only v, and the AggProjectTop ends every column but its own outputs.
+// A double SUM or AVG input stays per row: folding it once per vertex
+// would round differently.
+void MarkVertexKeyed(
+    Plan* plan, size_t at,
+    const std::unordered_map<std::string, VertexSource>& source) {
+  PlanOp& agg = plan->ops[at];
+  std::string v;
+  auto of_v = [&](const std::string& col) {
+    auto it = source.find(col);
+    if (it == source.end()) return false;
+    if (v.empty()) v = it->second.vertex;
+    return it->second.vertex == v;
+  };
+  for (const std::string& g : agg.group_by) {
+    if (!of_v(g)) return;
+  }
+  for (const AggSpec& a : agg.aggs) {
+    if (a.input.empty()) continue;
+    if (!of_v(a.input)) return;
+    if ((a.fn == AggSpec::kSum || a.fn == AggSpec::kAvg) &&
+        source.at(a.input).type == ValueType::kDouble) {
+      return;
+    }
+  }
+  if (v.empty()) return;
+  agg.group_vertex = v;
+  for (size_t i = at; i-- > 0;) {
+    PlanOp& op = plan->ops[i];
+    if (op.in_column != v || !(op.type == OpType::kGetProperty ||
+                               (op.type == OpType::kExpand && op.counted))) {
+      break;
+    }
+    op.deferred = true;
+  }
+}
+
+// Marks every AggProjectTop that can aggregate once per distinct vertex
+// (MarkVertexKeyed). Stamp, distance and computed columns are functions of
+// a tuple, not of one vertex, so they never enter `source`.
+void MarkVertexKeyedAggregates(Plan* plan) {
+  std::unordered_map<std::string, VertexSource> source;
+  for (size_t i = 0; i < plan->ops.size(); ++i) {
+    const PlanOp& op = plan->ops[i];
+    switch (op.type) {
+      case OpType::kNodeByIdSeek:
+      case OpType::kScanByLabel:
+      case OpType::kExpand:
+      case OpType::kIntersectExpand:
+        source[op.out_column] = {op.out_column, ValueType::kVertex};
+        break;
+      case OpType::kExpandFiltered:
+        source[op.out_column] = {op.out_column, ValueType::kVertex};
+        if (op.keep_property) {
+          source[op.other_column] = {op.out_column, op.property_type};
+        }
+        break;
+      case OpType::kGetProperty: {
+        auto it = source.find(op.in_column);
+        if (it != source.end() && it->second.vertex == op.in_column) {
+          source[op.out_column] = {op.in_column, op.property_type};
+        }
+        break;
+      }
+      case OpType::kAggProjectTop:
+        MarkVertexKeyed(plan, i, source);
+        source.clear();
+        break;
+      case OpType::kAggregate:
+      case OpType::kProject:
+      case OpType::kProcedure:
+        source.clear();  // columns renamed or replaced
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
@@ -363,6 +454,7 @@ Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
     ++i;
   }
   MarkCountedExpands(&out);
+  MarkVertexKeyedAggregates(&out);
   if (view != nullptr) {
     auto column_stats = CollectPlanColumnStats(out, view->graph());
     ReorderFilterRuns(&out.ops, column_stats);

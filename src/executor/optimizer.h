@@ -30,6 +30,11 @@ namespace ges {
 //  * Counted Expand — a 1-hop Expand whose out and stamp columns nothing
 //    after it reads (not even the plan output) is marked PlanOp::counted:
 //    the factorized engine stores only each source row's degree.
+//  * Vertex-keyed aggregation — an AggProjectTop whose group keys and
+//    aggregate inputs are all functions of one vertex column gets
+//    PlanOp::group_vertex, and the counted Expands and GetPropertys from
+//    that vertex just before it are marked PlanOp::deferred: the
+//    factorized engine applies them once per distinct vertex.
 //
 // Rewrites preserve result semantics; the equivalence tests run every
 // query through fused and unfused plans. The returned plan has

@@ -94,6 +94,11 @@ struct PlanOp {
   // only each source row's degree (a columnless child of that many rows).
   // The other engines ignore it.
   bool counted = false;
+  // Set by OptimizePlan on the counted Expands and GetPropertys from an
+  // AggProjectTop's group_vertex that run just before it: while the state
+  // is an f-Tree, the factorized engine skips them and the AggProjectTop
+  // applies them once per distinct vertex. The other engines ignore it.
+  bool deferred = false;
 
   // kGetProperty (+ fused property inside kExpandFiltered).
   PropertyId property = kInvalidProperty;
@@ -110,6 +115,13 @@ struct PlanOp {
   // kAggregate / kAggProjectTop.
   std::vector<std::string> group_by;
   std::vector<AggSpec> aggs;
+  // kAggProjectTop: set by OptimizePlan when every group key and aggregate
+  // input is a function of this one vertex column (the vertex itself, a
+  // property read from it, or the fused property of the ExpandFiltered
+  // that produced it). The factorized engine then folds each distinct
+  // vertex once, weighted by its summed tuple counts; the other engines
+  // ignore it.
+  std::string group_vertex;
 
   // kProject (select existing columns and/or computed expressions).
   std::vector<std::pair<std::string, std::string>> selections;  // (col, as)

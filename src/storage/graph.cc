@@ -145,7 +145,10 @@ void Graph::GatherProperties(const VertexId* ids, size_t n, const uint8_t* sel,
       out->empty()) {
     out->InitDict(&string_dict_);
   }
-  out->Reserve(out->size() + n);
+  // Only a first batch is sized: a column gathered in many batches
+  // (FactGetProperty gathers a lazy leaf 1024 ids at a time) then grows
+  // geometrically instead of being copied on every call.
+  if (out->empty()) out->Reserve(n);
   // A bulk vertex probes the overlay only when its touched bit is set; a
   // post-bulk vertex when the overlay holds anything, resolved per batch.
   const bool post_bulk_overlay = !prop_overlay_.empty();

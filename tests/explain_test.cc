@@ -98,6 +98,32 @@ TEST(ExplainTest, CountedExpandShowsMarkAndAddsOnlyRanges) {
       << ExplainAnalyze(plan, result);
 }
 
+// IC5's AggProjectTop aggregates by the forum vertex, to which the post
+// count and the forum id read are deferred: EXPLAIN prints both marks, and
+// EXPLAIN ANALYZE shows that the deferred ops add nothing to the f-Tree.
+TEST(ExplainTest, VertexKeyedAggregateShowsDeferredAndByVertex) {
+  testutil::SnbFixture& fx = testutil::SnbFixture::Shared();
+  LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
+  ParamGen gen(&fx.graph, &fx.data, 1);
+  GraphView view(&fx.graph);
+  Plan plan = OptimizePlan(BuildIC(5, ctx, gen.Next()), ExecOptions{}, &view);
+  std::string text = ExplainPlan(plan);
+  EXPECT_NE(text.find("-> post counted deferred"), std::string::npos) << text;
+  EXPECT_NE(text.find("-> forum_id deferred"), std::string::npos) << text;
+  EXPECT_NE(text.find("limit=20 by-vertex forum"), std::string::npos) << text;
+
+  QueryResult result = Executor(ExecMode::kFactorizedFused).Run(plan, view);
+  ASSERT_EQ(result.stats.ops.size(), plan.ops.size());
+  size_t before = 0;
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    if (plan.ops[i].deferred) {
+      EXPECT_EQ(result.stats.ops[i].intermediate_bytes, before)
+          << ExplainAnalyze(plan, result);
+    }
+    before = result.stats.ops[i].intermediate_bytes;
+  }
+}
+
 // Computed columns of a fused aggregate print as `name = expression`.
 TEST(ExplainTest, AggProjectTopShowsComputedColumns) {
   TinyGraph tiny;

@@ -1,7 +1,7 @@
 // Property-based tests: random f-Trees must satisfy the factorization
 // invariants — count DP == enumerator count, per-row multiplicities sum to
 // the total, flatten output matches brute-force expansion, selection
-// monotonicity.
+// monotonicity, dead-row skipping.
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -180,6 +180,70 @@ TEST_P(FTreeRandomTest, InvalidatingRowsNeverIncreasesCount) {
     node->MutableSel()[pick.Uniform(node->block.NumRows())] = 0;
   }
   EXPECT_LE(tree->CountTuples(), before);
+}
+
+// Adds a child named "new" under preorder node `at`, whose row r lists
+// fanout[r] rows. With `skip_dead`, a row FTreeNode::RowLive calls dead,
+// asked before the child exists as an Expand asks, lists none.
+void AddFanoutChild(FTree* tree, size_t at,
+                    const std::vector<uint64_t>& fanout, bool skip_dead) {
+  FTreeNode* parent = tree->PreorderMutable()[at];
+  const size_t kids = parent->children.size();
+  std::vector<uint8_t> live(fanout.size(), 1);
+  for (size_t r = 0; r < fanout.size() && skip_dead; ++r) {
+    live[r] = parent->RowLive(r, kids) ? 1 : 0;
+  }
+  FTreeNode* child = tree->AddChild(parent);
+  child->parent_index.resize(fanout.size());
+  ValueVector col(ValueType::kInt64);
+  uint64_t off = 0;
+  for (size_t r = 0; r < fanout.size(); ++r) {
+    const uint64_t n = live[r] != 0 ? fanout[r] : 0;
+    child->parent_index[r] = IndexRange{off, off + n};
+    for (uint64_t i = 0; i < n; ++i) {
+      col.AppendInt(static_cast<int64_t>(1000000 + 16 * r + i));
+    }
+    off += n;
+  }
+  child->block.AddColumn("new", std::move(col));
+  tree->RegisterColumns(child);
+}
+
+FlatBlock FlattenAll(const FTree& tree) {
+  std::vector<std::string> cols;
+  Schema schema;
+  for (const FTreeNode* n : tree.Preorder()) {
+    for (const ColumnDef& c : n->block.schema().columns()) {
+      cols.push_back(c.name);
+      schema.Add(c.name, c.type);
+    }
+  }
+  FlatBlock out(schema);
+  tree.Flatten(cols, &out);
+  return out;
+}
+
+// A child that gives dead rows empty ranges encodes the same tuples, in
+// the same order, as one that expands every row: rows invalid or listed by
+// no row of an existing child join nothing either way.
+TEST_P(FTreeRandomTest, SkippingDeadRowsKeepsTuples) {
+  for (SelMode mode : kSelModes) {
+    const uint64_t seed = GetParam() * 6151 + 19 + static_cast<int>(mode);
+    Rng rng_full(seed);
+    Rng rng_live(seed);
+    auto full = RandomTree(rng_full, 6, 3, 0.3, mode);
+    auto live = RandomTree(rng_live, 6, 3, 0.3, mode);
+    Rng pick(seed);
+    const std::vector<const FTreeNode*> nodes = full->Preorder();
+    const size_t at = pick.Uniform(nodes.size());
+    std::vector<uint64_t> fanout(nodes[at]->block.NumRows());
+    for (uint64_t& n : fanout) n = pick.Uniform(4);
+    AddFanoutChild(full.get(), at, fanout, /*skip_dead=*/false);
+    AddFanoutChild(live.get(), at, fanout, /*skip_dead=*/true);
+    EXPECT_EQ(live->CountTuples(), full->CountTuples());
+    EXPECT_EQ(live->CountTuples(), BruteForceTotal(*live));
+    EXPECT_EQ(FlattenAll(*live).rows(), FlattenAll(*full).rows());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FTreeRandomTest, ::testing::Range(0, 25));

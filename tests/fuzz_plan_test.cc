@@ -33,10 +33,7 @@ class RandomPlanGenerator {
 
   Plan Generate() {
     PlanBuilder b("fuzz");
-    vertex_cols_.clear();
-    int_cols_.clear();
-    int_source_.clear();
-    next_col_ = 0;
+    Reset();
 
     // Leaf: scan a random label with interesting out-edges, or seek.
     const SnbSchema& s = ctx_.s;
@@ -122,7 +119,75 @@ class RandomPlanGenerator {
     return b.Build();
   }
 
+  // Groups the rows of a vertex column v by a property many vertices
+  // share (a length, a birthday month, a creation date), after one or two
+  // Expands from v that nothing reads again: GES_f* sums the tuple counts
+  // of v's rows per vertex, weighs each vertex by its degrees and folds
+  // vertices with equal keys into one group. v is scanned, or reached
+  // through an Expand so that one vertex fills many rows, and at times
+  // filtered on its id first.
+  Plan GenerateRegroup() {
+    PlanBuilder b("regroup");
+    Reset();
+    const SnbSchema& s = ctx_.s;
+    const LabelId labels[] = {s.person, s.post, s.comment, s.forum};
+    const LabelId label = labels[rng_.Uniform(4)];
+    std::string v = NewCol("v");
+    std::vector<std::pair<LabelId, RelationId>> into;  // (source, rel) -> v
+    for (LabelId src : {s.person, s.post, s.comment, s.forum, s.tag}) {
+      for (const RelChoice& c : RelationsFrom(src)) {
+        if (c.dst == label) into.emplace_back(src, c.rel);
+      }
+    }
+    if (rng_.Bernoulli(0.7)) {
+      const auto& [src, rel] = into[rng_.Uniform(into.size())];
+      std::string u = NewCol("v");
+      b.ScanByLabel(u, src);
+      b.Expand(u, v, {rel});
+    } else {
+      b.ScanByLabel(v, label);
+    }
+    vertex_cols_.push_back({v, label});
+    if (rng_.Bernoulli(0.5)) AddFilter(&b, v);
+    std::vector<RelChoice> from_v = RelationsFrom(label);
+    for (int k = rng_.Bernoulli(0.3) ? 2 : 1; k > 0; --k) {
+      b.Expand(v, NewCol("w"), {from_v[rng_.Uniform(from_v.size())].rel});
+    }
+    std::vector<std::pair<PropertyId, ValueType>> keys = {
+        {ctx_.p_creation, ValueType::kDate}};
+    if (label == s.person) {
+      keys.emplace_back(s.birthday_month, ValueType::kInt64);
+    } else if (label != s.forum) {
+      keys.emplace_back(ctx_.p_length, ValueType::kInt64);
+    }
+    const auto& [prop, type] = keys[rng_.Uniform(keys.size())];
+    b.GetProperty(v, prop, type, "k");
+    std::vector<std::string> group = {"k"};
+    if (rng_.Bernoulli(0.3)) group.push_back(v);
+    std::vector<AggSpec> aggs = {AggSpec{AggSpec::kCount, "", "cnt"}};
+    if (rng_.Bernoulli(0.5)) {
+      b.GetProperty(v, ctx_.p_id, ValueType::kInt64, "vid");
+      aggs.push_back(AggSpec{AggSpec::kSum, "vid", "sum"});
+      aggs.push_back(AggSpec{AggSpec::kMin, "vid", "min"});
+    }
+    std::vector<SortKey> order;
+    std::vector<std::string> output = group;
+    for (const std::string& g : group) order.push_back({g, true});
+    for (const AggSpec& a : aggs) output.push_back(a.output);
+    b.Aggregate(group, std::move(aggs));
+    b.OrderBy(std::move(order), 64);
+    b.Output(std::move(output));
+    return b.Build();
+  }
+
  private:
+  void Reset() {
+    vertex_cols_.clear();
+    int_cols_.clear();
+    int_source_.clear();
+    next_col_ = 0;
+  }
+
   std::string NewCol(const char* prefix) {
     return std::string(prefix) + std::to_string(next_col_++);
   }
@@ -309,13 +374,14 @@ class RandomPlanGenerator {
   int next_col_ = 0;
 };
 
-// Runs three random plans in all four engines and requires them to agree.
+// Runs three random plans and one regrouping plan in all four engines and
+// requires them to agree.
 void ExpectEnginesAgree(const SnbFixture& fx, uint64_t seed, int param) {
   LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
   RandomPlanGenerator gen(fx, ctx, seed);
   GraphView view(&fx.graph);
-  for (int i = 0; i < 3; ++i) {
-    Plan plan = gen.Generate();
+  for (int i = 0; i < 4; ++i) {
+    Plan plan = i < 3 ? gen.Generate() : gen.GenerateRegroup();
     // Bound runaway cross products: the point is breadth of shapes, not
     // volume, and the Volcano engine is slow by design. The reference run
     // is governed by a per-query budget, so a random plan that would blow

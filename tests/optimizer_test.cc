@@ -6,6 +6,7 @@
 
 #include <limits>
 
+#include "queries/ldbc.h"
 #include "tests/test_util.h"
 
 namespace ges {
@@ -242,6 +243,94 @@ TEST(OptimizerTest, EachRuleIndividuallyPreservesResults) {
     Executor exec(ExecMode::kFactorizedFused, opt);
     auto rows = testutil::OrderedRows(exec.Run(plan, view).table);
     EXPECT_EQ(rows, baseline) << "rule " << rule;
+  }
+}
+
+// Index of the first op of `plan` that produces `column`.
+size_t OpProducing(const Plan& plan, const std::string& column) {
+  size_t i = 0;
+  while (i < plan.ops.size() && plan.ops[i].out_column != column) ++i;
+  return i;
+}
+
+// IC5 groups by forum id and counts posts: its AggProjectTop aggregates by
+// the forum vertex, and the post count and the id read before it are
+// deferred to it. Nothing else is deferred.
+TEST(VertexKeyedAggregateTest, Ic5DefersPostCountAndForumId) {
+  testutil::SnbFixture& fx = testutil::SnbFixture::Shared();
+  LdbcContext ctx = LdbcContext::Resolve(fx.graph, fx.data.schema);
+  ParamGen gen(&fx.graph, &fx.data, 1);
+  GraphView view(&fx.graph);
+  Plan plan = OptimizePlan(BuildIC(5, ctx, gen.Next()), ExecOptions{}, &view);
+  ASSERT_EQ(plan.ops.back().type, OpType::kAggProjectTop);
+  EXPECT_EQ(plan.ops.back().group_vertex, "forum");
+  const size_t posts = OpProducing(plan, "post");
+  const size_t forum_id = OpProducing(plan, "forum_id");
+  ASSERT_LT(posts, plan.ops.size());
+  ASSERT_LT(forum_id, plan.ops.size());
+  EXPECT_TRUE(plan.ops[posts].counted);
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    EXPECT_EQ(plan.ops[i].deferred, i == posts || i == forum_id)
+        << "op " << i << " " << OpTypeName(plan.ops[i].type);
+  }
+}
+
+// A GetProperty whose output a Filter reads before the aggregate stays on
+// the tree; the counted Expand after the Filter is still deferred. Every
+// engine returns the same rows.
+TEST(VertexKeyedAggregateTest, KeyReadByLaterOpIsNotDeferred) {
+  TinyGraph tiny;
+  GraphView view(tiny.graph.get());
+  PlanBuilder b("t");
+  b.ScanByLabel("p", tiny.person)
+      .GetProperty("p", tiny.id, ValueType::kInt64, "pid")
+      .Filter(Expr::Ge(Expr::Col("pid"), Expr::Lit(Value::Int(2))))
+      .Expand("p", "m", {tiny.person_messages})
+      .Aggregate({"pid"}, {AggSpec{AggSpec::kCount, "", "cnt"}})
+      .Output({"pid", "cnt"});
+  Plan plan = b.Build();
+  Plan fused = OptimizePlan(plan, ExecOptions{});
+  ASSERT_EQ(fused.ops.size(), 5u);
+  EXPECT_EQ(fused.ops[4].group_vertex, "p");
+  EXPECT_FALSE(fused.ops[1].deferred);  // GetProperty pid, read by the Filter
+  EXPECT_FALSE(fused.ops[2].deferred);
+  EXPECT_TRUE(fused.ops[3].counted);
+  EXPECT_TRUE(fused.ops[3].deferred);
+
+  auto baseline =
+      testutil::SortedRows(Executor(ExecMode::kFlat).Run(plan, view).table);
+  EXPECT_EQ(baseline.size(), 2u);  // persons 2 and 3 created messages
+  for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFactorized,
+                        ExecMode::kFactorizedFused}) {
+    EXPECT_EQ(testutil::SortedRows(Executor(mode).Run(plan, view).table),
+              baseline)
+        << ExecModeName(mode);
+  }
+}
+
+// An edge stamp is a function of the edge, not of one vertex: grouping by
+// it marks nothing. Neither does a key of another vertex than an input's.
+TEST(VertexKeyedAggregateTest, StampOrMixedVertexKeysAreNotMarked) {
+  TinyGraph tiny;
+  PlanBuilder stamp("t");
+  stamp.NodeByIdSeek("p", tiny.person, 0)
+      .ExpandEx("p", "f", {tiny.knows_out}, 1, 1, false, false, "", "since")
+      .Expand("f", "m", {tiny.person_messages})
+      .Aggregate({"since"}, {AggSpec{AggSpec::kCount, "", "cnt"}})
+      .Output({"since", "cnt"});
+  PlanBuilder mixed("t");
+  mixed.NodeByIdSeek("p", tiny.person, 0)
+      .Expand("p", "f", {tiny.knows_out})
+      .GetProperty("f", tiny.id, ValueType::kInt64, "fid")
+      .Expand("f", "m", {tiny.person_messages})
+      .Aggregate({"fid"}, {AggSpec{AggSpec::kCount, "", "cnt"},
+                           AggSpec{AggSpec::kMin, "m", "first"}})
+      .Output({"fid", "cnt", "first"});
+  for (PlanBuilder* b : {&stamp, &mixed}) {
+    Plan fused = OptimizePlan(b->Build(), ExecOptions{});
+    ASSERT_EQ(fused.ops.back().type, OpType::kAggProjectTop);
+    EXPECT_TRUE(fused.ops.back().group_vertex.empty());
+    for (const PlanOp& op : fused.ops) EXPECT_FALSE(op.deferred);
   }
 }
 
